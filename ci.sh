@@ -320,31 +320,43 @@ conn.request("GET", "/designs")
 designs = json.loads(conn.getresponse().read())
 assert designs, "/designs is empty"
 
-# Golden differential: every endpoint's daemon bytes == the CLI's bytes.
+# Golden differential: every endpoint's daemon bytes == the CLI's bytes,
+# at the default option vector (no "options") and at one non-default
+# vector, which must decode identically from JSON keys and CLI flags.
+option_vectors = [
+    (None, []),
+    ({"scheduler": "force", "fu_alloc": "clique", "reg_alloc": "clique",
+      "encoding": "onehot", "opt": "aggressive", "narrow": True},
+     ["--scheduler", "force", "--fu-alloc", "clique", "--reg-alloc",
+      "clique", "--encoding", "onehot", "--opt", "aggressive", "--narrow"]),
+]
 checked = 0
 for d in designs:
     f = tempfile.NamedTemporaryFile(
         mode="w", suffix=".bdl", delete=False)
     f.write(d["source"])
     f.close()
-    for ep, extra, cli in [
-        ("/synth", {}, ["synth"]),
-        ("/lint", {}, ["lint"]),
-        ("/analyze", {}, ["analyze"]),
-        ("/sta", {"clock": 10}, ["sta", "--clock", "10"]),
-        ("/prove", {}, ["prove"]),
-    ]:
-        body = {"source": d["source"], "name": f.name}
-        body.update(extra)
-        conn.request("POST", ep, json.dumps(body))
-        daemon = conn.getresponse().read()
-        offline = subprocess.run(
-            [mphls] + cli + ["--format", "json", f.name],
-            capture_output=True).stdout
-        assert daemon == offline, (
-            f"{d['name']}{ep}: daemon and CLI bytes differ\n"
-            f" daemon : {daemon[:160]!r}\n cli    : {offline[:160]!r}")
-        checked += 1
+    for options, flags in option_vectors:
+        for ep, extra, cli in [
+            ("/synth", {}, ["synth"]),
+            ("/lint", {}, ["lint"]),
+            ("/analyze", {}, ["analyze"]),
+            ("/sta", {"clock": 10}, ["sta", "--clock", "10"]),
+            ("/prove", {}, ["prove"]),
+        ]:
+            body = {"source": d["source"], "name": f.name}
+            if options is not None:
+                body["options"] = options
+            body.update(extra)
+            conn.request("POST", ep, json.dumps(body))
+            daemon = conn.getresponse().read()
+            offline = subprocess.run(
+                [mphls] + cli + flags + ["--format", "json", f.name],
+                capture_output=True).stdout
+            assert daemon == offline, (
+                f"{d['name']}{ep} {flags}: daemon and CLI bytes differ\n"
+                f" daemon : {daemon[:160]!r}\n cli    : {offline[:160]!r}")
+            checked += 1
     os.unlink(f.name)
 
 conn.request("GET", "/metrics")

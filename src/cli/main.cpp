@@ -1,22 +1,8 @@
 // mphls — command-line driver for the high-level synthesis system.
 //
-// Usage:
-//   mphls [options] design.bdl
-//   mphls lint [--format text|json] [options] design.bdl
-//   mphls analyze [--dot-facts FILE] design.bdl
-//   mphls analyze --builtins
-//   mphls prove [--prove-passes] [--inject mul|sched|bind]
-//               [--format text|json] [options] design.bdl | --builtins
-//   mphls sta [--clock NS] [--paths K] [--format text|json]
-//             [options] design.bdl | --builtins
-//   mphls profile [options] design.bdl
-//   mphls bench [--jobs N] [--points N] [--repeats N] [--sched-ops N]
-//               [--out DIR] [--trace FILE] [--stats FILE] [--quiet]
-//   mphls fuzz [--seeds N] [--seed-base S] [--jobs N]
-//              [--matrix quick|standard|full] [--trials N] [--reduce]
-//              [--corpus DIR] [--no-save] [--replay DIR] [--inject mul]
-//              [--no-check] [--trace FILE] [--stats FILE] [--out FILE]
-//              [--quiet]
+// `mphls [options] design.bdl` (or `mphls synth ...`) runs the whole flow
+// and prints the synthesis summary. The flags of every subcommand are
+// tables in cli/args.cpp (usage() prints them); below is why each exists.
 //
 // The `lint` subcommand synthesizes the design and prints the full static
 // verification report (schedule legality, binding consistency, controller
@@ -76,59 +62,33 @@
 // --reduce) under the corpus directory; --replay DIR re-runs saved corpus
 // entries as a regression gate. Exits 1 on any failure.
 //
-// Options:
-//   --top NAME             top procedure (default: last in file)
-//   --scheduler KIND       serial|asap|list|force|freedom|bnb|transform
-//   --fus N                universal functional-unit limit (default 2)
-//   --priority P           list priority: path|mobility|urgency|program
-//   --opt LEVEL            none|standard|aggressive (default standard)
-//   --fu-alloc M           greedy|global|blind|clique (default greedy)
-//   --reg-alloc M          leftedge|clique|naive (default leftedge)
-//   --encoding E           binary|gray|onehot (default binary)
-//   --time-constraint N    steps for force-directed scheduling
-//   --verilog FILE         write generated Verilog
-//   --dot FILE             write the CFG (and per-block DFGs) as DOT
-//   --verify a=1,b=2       simulate RTL vs behavior on given inputs
-//                          (repeatable)
-//   --sweep N              print an area/latency sweep over 1..N FUs
-//   --jobs N               DSE worker threads (default: hardware
-//                          concurrency; 1 bypasses the thread pool)
-//   --multicycle           2-step multipliers / 4-step dividers
-//   --check / --no-check   enable/disable stage-boundary checkers (default on)
-//   --quiet                suppress the report
+// The `serve` subcommand runs the synthesis daemon (src/serve/, DESIGN.md
+// §14) until SIGTERM/SIGINT: the same command layer (core/commands.h) as
+// the text and JSON reports here, behind HTTP. `loadgen` replays a
+// deterministic request mix against it.
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdio>
-#include <vector>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
 #include <string_view>
+#include <vector>
 
-#include "common/thread_pool.h"
-#include "core/commands.h"
-#include "opt/pass.h"
-#include "serve/loadgen.h"
-#include "serve/server.h"
 #include "analysis/dataflow.h"
 #include "check/check.h"
-#include "common/bench_report.h"
+#include "cli/args.h"
 #include "common/json_reader.h"
-#include "core/bench_check.h"
-#include "core/bench_runner.h"
-#include "fuzz/campaign.h"
-#include "fuzz/sim_bench.h"
+#include "common/thread_pool.h"
+#include "core/commands.h"
 #include "core/designs.h"
 #include "core/dse.h"
-#include "core/synthesizer.h"
 #include "fuzz/diff_runner.h"
-#include "sec/passes.h"
-#include "sec/prove.h"
-#include "sta/sta.h"
+#include "fuzz/sim_bench.h"
 #include "ir/dot.h"
 #include "lang/frontend.h"
 #include "obs/flight_recorder.h"
@@ -139,99 +99,14 @@
 #include "rtl/sim_trace.h"
 #include "rtl/verilog.h"
 #include "sched/schedule.h"
+#include "sta/sta.h"
 #include "vm/sim_engine.h"
 
 using namespace mphls;
+using cli::DesignArgs;
+using cli::DesignCmd;
 
 namespace {
-
-struct CliArgs {
-  std::string file;
-  std::string top;
-  std::string verilogOut;
-  std::string dotOut;
-  std::vector<std::map<std::string, std::uint64_t>> verifyRuns;
-  std::string dotFactsOut;
-  std::string traceOut;  ///< --trace: Chrome trace_event JSON
-  std::string vcdOut;    ///< --vcd: simulation waveform
-  std::string statsOut;  ///< --stats: metrics registry JSON
-  std::string logFile;   ///< --log-file: JSONL structured log sink
-  std::string logLevel;  ///< --log-level: debug|info|warn|error
-  std::string flightIn;  ///< profile --flight: decode a flight dump
-  int sweep = 0;
-  bool quiet = false;
-  bool lint = false;
-  bool analyze = false;
-  bool profile = false;
-  bool prove = false;        ///< `prove` subcommand
-  bool sta = false;          ///< `sta` subcommand
-  bool synthCmd = false;     ///< explicit `synth` subcommand token
-  double staClock = 0;       ///< --clock: target period (0 = estimated)
-  int staPaths = 5;          ///< --paths: K worst paths to report
-  bool provePasses = false;  ///< --prove-passes: per-pass validation
-  bool jsonFormat = false;   ///< --format json (lint and prove)
-  fuzz::InjectedBug inject = fuzz::InjectedBug::None;
-  bool builtins = false;
-  bool optExplicit = false;  ///< --opt given: analyze post-pipeline IR
-  SynthesisOptions opts;
-};
-
-void usage() {
-  std::cerr <<
-      "usage: mphls [options] design.bdl\n"
-      "       mphls synth [--format text|json] [options] design.bdl\n"
-      "       mphls lint [--format text|json] [options] design.bdl\n"
-      "       mphls analyze [--dot-facts FILE] design.bdl | --builtins\n"
-      "       mphls prove [--prove-passes] [--inject mul|sched|bind]\n"
-      "                   [--format text|json] [options] design.bdl |"
-      " --builtins\n"
-      "       mphls sta [--clock NS] [--paths K] [--format text|json]\n"
-      "                 [options] design.bdl | --builtins\n"
-      "       mphls profile [options] design.bdl | --flight DUMP\n"
-      "  --top NAME  --scheduler serial|asap|list|force|freedom|bnb|transform\n"
-      "  --fus N  --priority path|mobility|urgency|program\n"
-      "  --opt none|standard|aggressive  --fu-alloc greedy|global|blind|clique\n"
-      "  --reg-alloc leftedge|clique|naive  --encoding binary|gray|onehot\n"
-      "  --time-constraint N  --verilog FILE  --dot FILE\n"
-      "  --verify a=1,b=2  --sweep N  --jobs N  --multicycle  --narrow\n"
-      "  --trace FILE  --vcd FILE  --stats FILE\n"
-      "  --log-file FILE  --log-level debug|info|warn|error\n"
-      "  --check|--no-check  --prove  --quiet\n"
-      "       mphls bench [--sim] [--sta] [--jobs N] [--points N]"
-      " [--repeats N]\n"
-      "                   [--sched-ops N] [--out DIR] [--trace FILE]\n"
-      "                   [--stats FILE] [--quiet]\n"
-      "       mphls bench --check [--baseline-dir DIR] [--in DIR ...]\n"
-      "                   [--out FILE] [--quiet]\n"
-      "       mphls fuzz [--seeds N] [--seed-base S] [--jobs N]\n"
-      "                  [--matrix quick|standard|full] [--trials N]\n"
-      "                  [--engine interp|vm|both] [--cross-check RATE]\n"
-      "                  [--reduce] [--corpus DIR] [--no-save]\n"
-      "                  [--replay DIR] [--inject mul|sched|bind]\n"
-      "                  [--no-check]\n"
-      "                  [--trace FILE] [--stats FILE]\n"
-      "                  [--out FILE] [--quiet]\n"
-      "       mphls serve [--port P] [--jobs N] [--max-connections N]\n"
-      "                   [--log-file FILE] [--log-level LEVEL]\n"
-      "                   [--flight-dump PATH] [--quiet]\n"
-      "       mphls loadgen [--url http://host:port] [--clients N]\n"
-      "                     [--requests M] [--mix synth:lint:sim]"
-      " [--seed S]\n"
-      "                     [--out FILE] [--quiet]\n";
-}
-
-bool parseInputs(const std::string& spec,
-                 std::map<std::string, std::uint64_t>& out) {
-  std::stringstream ss(spec);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    auto eq = item.find('=');
-    if (eq == std::string::npos) return false;
-    out[item.substr(0, eq)] =
-        std::strtoull(item.c_str() + eq + 1, nullptr, 0);
-  }
-  return true;
-}
 
 int fail(const std::string& msg) {
   std::cerr << "mphls: " << msg << "\n";
@@ -246,11 +121,11 @@ void enableTracing(const std::string& traceOut) {
   obs::Tracer::global().enable();
 }
 
-/// Configure the structured logger from --log-file/--log-level. A file
-/// with no explicit level defaults to info; no file routes to stderr.
-/// Returns false (after reporting) when the file cannot be opened or
-/// the level is unknown. With neither flag the logger stays on its
-/// null-sink fast path.
+/// Configure the structured logger from --log-file/--log-level (already
+/// validated by the flag parser). A file with no explicit level defaults
+/// to info; no file routes to stderr. Returns false (after reporting)
+/// when the file cannot be opened. With neither flag the logger stays on
+/// its null-sink fast path.
 bool applyLogging(const std::string& logFile, const std::string& logLevel) {
   if (logFile.empty() && logLevel.empty()) return true;
   auto& lg = obs::Logger::global();
@@ -258,16 +133,8 @@ bool applyLogging(const std::string& logFile, const std::string& logLevel) {
     fail("cannot open log file " + logFile);
     return false;
   }
-  obs::LogLevel level = obs::LogLevel::Info;
-  if (!logLevel.empty()) {
-    level = obs::parseLogLevel(logLevel);
-    if (level == obs::LogLevel::Off) {
-      fail("bad --log-level " + logLevel +
-           " (want debug|info|warn|error)");
-      return false;
-    }
-  }
-  lg.setLevel(level);
+  lg.setLevel(logLevel.empty() ? obs::LogLevel::Info
+                               : obs::parseLogLevel(logLevel));
   return true;
 }
 
@@ -341,7 +208,7 @@ std::optional<RecordedSim> recordSimulation(
 
 /// Inputs for a recorded simulation: the first --verify run, topped up
 /// with zeros for any input port it leaves unset.
-std::map<std::string, std::uint64_t> simInputs(const CliArgs& a,
+std::map<std::string, std::uint64_t> simInputs(const DesignArgs& a,
                                                const RtlDesign& d) {
   std::map<std::string, std::uint64_t> inputs;
   if (!a.verifyRuns.empty()) inputs = a.verifyRuns.front();
@@ -415,7 +282,7 @@ int runProfileFlight(const std::string& path) {
 /// `mphls profile design.bdl`: run the flow once, simulate it with the
 /// recorder, and print a stage/pass time + counter table. The sim.*
 /// gauges (FSM coverage, FU utilization) land in --stats output.
-int runProfile(const CliArgs& a, const SynthesisResult& result) {
+int runProfile(const DesignArgs& a, const SynthesisResult& result) {
   const RtlDesign& d = result.design;
   const auto inputs = simInputs(a, d);
   const auto sim = recordSimulation(d, inputs, a.vcdOut, a.quiet);
@@ -481,241 +348,12 @@ int runProfile(const CliArgs& a, const SynthesisResult& result) {
   return writeObsOutputs(a.traceOut, a.statsOut, a.quiet);
 }
 
-std::optional<CliArgs> parseArgs(int argc, char** argv) {
-  CliArgs a;
-  a.opts.resources = ResourceLimits::universalSet(2);
-  int fus = 2;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) return nullptr;
-      return argv[++i];
-    };
-    if (arg == "--top") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      a.top = v;
-    } else if (arg == "--scheduler") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      std::string s = v;
-      if (s == "serial") a.opts.scheduler = SchedulerKind::Serial;
-      else if (s == "asap") a.opts.scheduler = SchedulerKind::Asap;
-      else if (s == "list") a.opts.scheduler = SchedulerKind::List;
-      else if (s == "force") a.opts.scheduler = SchedulerKind::ForceDirected;
-      else if (s == "freedom") a.opts.scheduler = SchedulerKind::Freedom;
-      else if (s == "bnb") a.opts.scheduler = SchedulerKind::BranchBound;
-      else if (s == "transform") a.opts.scheduler = SchedulerKind::Transform;
-      else return std::nullopt;
-    } else if (arg == "--fus") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      fus = std::atoi(v);
-      if (fus < 1) return std::nullopt;
-    } else if (arg == "--priority") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      std::string s = v;
-      if (s == "path") a.opts.listPriority = ListPriority::PathLength;
-      else if (s == "mobility") a.opts.listPriority = ListPriority::Mobility;
-      else if (s == "urgency") a.opts.listPriority = ListPriority::Urgency;
-      else if (s == "program") a.opts.listPriority = ListPriority::ProgramOrder;
-      else return std::nullopt;
-    } else if (arg == "--opt") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      std::string s = v;
-      if (s == "none") a.opts.opt = OptLevel::None;
-      else if (s == "standard") a.opts.opt = OptLevel::Standard;
-      else if (s == "aggressive") a.opts.opt = OptLevel::Aggressive;
-      else return std::nullopt;
-      a.optExplicit = true;
-    } else if (arg == "--fu-alloc") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      std::string s = v;
-      if (s == "greedy") a.opts.fuMethod = FuAllocMethod::GreedyLocal;
-      else if (s == "global") a.opts.fuMethod = FuAllocMethod::GreedyGlobal;
-      else if (s == "blind") a.opts.fuMethod = FuAllocMethod::InterconnectBlind;
-      else if (s == "clique") a.opts.fuMethod = FuAllocMethod::Clique;
-      else return std::nullopt;
-    } else if (arg == "--reg-alloc") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      std::string s = v;
-      if (s == "leftedge") a.opts.regMethod = RegAllocMethod::LeftEdge;
-      else if (s == "clique") a.opts.regMethod = RegAllocMethod::Clique;
-      else if (s == "naive") a.opts.regMethod = RegAllocMethod::Naive;
-      else return std::nullopt;
-    } else if (arg == "--encoding") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      std::string s = v;
-      if (s == "binary") a.opts.encoding = StateEncoding::Binary;
-      else if (s == "gray") a.opts.encoding = StateEncoding::Gray;
-      else if (s == "onehot") a.opts.encoding = StateEncoding::OneHot;
-      else return std::nullopt;
-    } else if (arg == "--time-constraint") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      a.opts.timeConstraint = std::atoi(v);
-    } else if (arg == "--verilog") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      a.verilogOut = v;
-    } else if (arg == "--dot") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      a.dotOut = v;
-    } else if (arg == "--verify") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      std::map<std::string, std::uint64_t> in;
-      if (!parseInputs(v, in)) return std::nullopt;
-      a.verifyRuns.push_back(std::move(in));
-    } else if (arg == "--sweep") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      a.sweep = std::atoi(v);
-    } else if (arg == "--jobs") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      a.opts.jobs = std::atoi(v);
-      if (a.opts.jobs < 1) return std::nullopt;
-    } else if (arg == "--multicycle") {
-      a.opts.latencies = OpLatencyModel::multiCycle();
-    } else if (arg == "--narrow") {
-      a.opts.narrow = true;
-    } else if (arg == "--dot-facts") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      a.dotFactsOut = v;
-    } else if (arg == "--trace") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      a.traceOut = v;
-    } else if (arg == "--vcd") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      a.vcdOut = v;
-    } else if (arg == "--stats") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      a.statsOut = v;
-    } else if (arg == "--log-file") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      a.logFile = v;
-    } else if (arg == "--log-level") {
-      const char* v = next();
-      if (!v || obs::parseLogLevel(v) == obs::LogLevel::Off)
-        return std::nullopt;
-      a.logLevel = v;
-    } else if (arg == "--flight") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      a.flightIn = v;
-    } else if (arg == "--clock") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      a.staClock = std::atof(v);
-      if (a.staClock <= 0) return std::nullopt;
-    } else if (arg == "--paths") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      a.staPaths = std::atoi(v);
-      if (a.staPaths < 0) return std::nullopt;
-    } else if (arg == "--builtins") {
-      a.builtins = true;
-    } else if (arg == "--check") {
-      a.opts.check = true;
-    } else if (arg == "--no-check") {
-      a.opts.check = false;
-    } else if (arg == "--prove") {
-      a.opts.prove = true;
-    } else if (arg == "--prove-passes") {
-      a.provePasses = true;
-    } else if (arg == "--format") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      std::string s = v;
-      if (s == "json") a.jsonFormat = true;
-      else if (s != "text") return std::nullopt;
-    } else if (arg == "--inject") {
-      const char* v = next();
-      if (!v || !fuzz::parseInjectedBug(v, a.inject)) return std::nullopt;
-    } else if (arg == "--quiet") {
-      a.quiet = true;
-    } else if (arg == "synth" && a.file.empty() && !a.synthCmd) {
-      a.synthCmd = true;
-    } else if (arg == "lint" && a.file.empty() && !a.lint) {
-      a.lint = true;
-    } else if (arg == "analyze" && a.file.empty() && !a.analyze) {
-      a.analyze = true;
-    } else if (arg == "prove" && a.file.empty() && !a.prove) {
-      a.prove = true;
-    } else if (arg == "sta" && a.file.empty() && !a.sta) {
-      a.sta = true;
-    } else if (arg == "profile" && a.file.empty() && !a.profile) {
-      a.profile = true;
-    } else if (!arg.empty() && arg[0] == '-') {
-      return std::nullopt;
-    } else {
-      a.file = arg;
-    }
-  }
-  a.opts.resources = ResourceLimits::universalSet(fus);
-  if (a.builtins && !a.analyze && !a.prove && !a.sta) return std::nullopt;
-  if (!a.flightIn.empty() && !a.profile) return std::nullopt;
-  // `profile --flight DUMP` decodes a recorder file; no design needed.
-  const bool flightDecode = a.profile && !a.flightIn.empty();
-  if (a.file.empty() && !a.builtins && !flightDecode) return std::nullopt;
-  if (a.inject != fuzz::InjectedBug::None && !a.prove) return std::nullopt;
-  return a;
-}
-
-/// `mphls analyze design.bdl`: facts listing + semantic lint report.
-int runAnalyze(const Function& fn, const std::string& label,
-               const std::string& dotFactsOut, bool quiet) {
-  const AnalysisResult res = analyzeFunction(fn);
-  if (!quiet) {
-    std::cout << "analysis of '" << fn.name() << "' (" << res.iterations
-              << " block visits):\n";
-    for (const Block& blk : fn.blocks()) {
-      std::cout << "  block " << blk.name;
-      if (!res.blockReachable[blk.id.index()]) std::cout << " (unreachable)";
-      std::cout << ":\n";
-      for (OpId oid : blk.ops) {
-        const Op& o = fn.op(oid);
-        if (!o.result.valid()) continue;
-        std::cout << "    v" << o.result.get() << " = " << opName(o.kind)
-                  << " [w" << fn.value(o.result).width
-                  << "]: " << res.fact(o.result).str() << "\n";
-      }
-    }
-    for (const Variable& vr : fn.vars())
-      std::cout << "  var " << vr.name << " [w" << vr.width
-                << "]: " << res.varFacts[vr.id.index()].str() << "\n";
-  }
-
-  CheckReport report;
-  checkSemantics(fn, report);
-  if (report.empty()) {
-    std::cout << label << ": clean (0 findings)\n";
-  } else {
-    std::cout << report.render();
-  }
-
-  if (!dotFactsOut.empty()) {
-    std::ofstream out(dotFactsOut);
-    if (!out) return fail("cannot write " + dotFactsOut);
-    const auto notes = factAnnotations(fn, res);
-    out << controlFlowDot(fn);
-    for (const Block& blk : fn.blocks())
-      if (!blk.ops.empty()) out << dataFlowDot(fn, blk.id, notes);
-    if (!quiet) std::cout << "wrote DOT to " << dotFactsOut << "\n";
-  }
-  return report.clean() ? 0 : 1;
+/// A check report, or "<name>: clean (0 findings)" when it is empty.
+void printReport(const std::string& name, const CheckReport& rep) {
+  if (rep.empty())
+    std::cout << name << ": clean (0 findings)\n";
+  else
+    std::cout << rep.render();
 }
 
 /// `mphls analyze --builtins`: the CI gate — semantic lints over every
@@ -739,211 +377,152 @@ int runAnalyzeBuiltins(bool quiet) {
   return failures == 0 ? 0 : 1;
 }
 
-/// Prove one already-compiled function: run the (optionally validated)
-/// optimization pipeline, synthesize, apply the requested injection, and
-/// prove behavioral/RTL equivalence. `applicable` comes back false when an
-/// injection found no site in this design.
-CheckReport proveOne(const CliArgs& a, Function& fn, bool& applicable) {
-  CheckReport rep;
-  applicable = true;
 
-  auto runPipe = [&](PassManager& pm) {
-    if (a.provePasses)
-      sec::runPipelineValidated(pm, fn, rep);
-    else
-      pm.run(fn);
-  };
-  switch (a.opts.opt) {
-    case OptLevel::None:
-      break;
-    case OptLevel::Standard: {
-      auto pm = PassManager::standardPipeline();
-      runPipe(pm);
-      break;
+/// Print one shared-command-layer result: the body on stdout, exit 1
+/// unless it is ok.
+int printResult(const DesignArgs& a, const cmd::Result& r) {
+  std::cout << r.body;
+  const int rc = writeObsOutputs(a.traceOut, a.statsOut, a.quiet);
+  return r.ok ? rc : 1;
+}
+
+/// The designs a prove or sta run covers: every built-in, or the file.
+std::vector<cmd::Request> targets(const DesignArgs& a,
+                                  const cmd::Request& file) {
+  if (!a.builtins) return {file};
+  std::vector<cmd::Request> reqs;
+  for (const auto& d : designs::all())
+    reqs.push_back({d.name, d.source, "", a.opts});
+  return reqs;
+}
+
+/// `mphls lint`: the static verification report.
+int runLint(const DesignArgs& a, const cmd::Request& req) {
+  if (a.jsonFormat) return printResult(a, cmd::lintJson(req));
+  const cmd::Outcome<CheckReport> o = cmd::lintReport(req);
+  if (!o.value) return fail(req.name + ": " + o.failure.error);
+  printReport(req.name, *o.value);
+  const int rc = writeObsOutputs(a.traceOut, a.statsOut, a.quiet);
+  return o.value->clean() ? rc : 1;
+}
+
+/// `mphls analyze design.bdl`: facts listing + semantic lint report.
+int runAnalyze(const DesignArgs& a, const cmd::Request& req) {
+  if (a.builtins) return runAnalyzeBuiltins(a.quiet);
+  // With an explicit --opt, analyze the post-pipeline IR — the facts the
+  // narrowing pass actually consumes (and a debugging aid for it). With
+  // --narrow as well, apply the narrowing pass too and show the widths
+  // and re-derived facts it left behind.
+  const bool post = a.optExplicit && a.opts.opt != OptLevel::None;
+  if (a.jsonFormat) return printResult(a, cmd::analyzeJson(req, post));
+  const cmd::Outcome<Function> o = cmd::analyzedFunction(req, post);
+  if (!o.value) return fail(req.name + ": " + o.failure.error);
+  const Function& fn = *o.value;
+  const AnalysisResult res = analyzeFunction(fn);
+  if (!a.quiet) {
+    std::cout << "analysis of '" << fn.name() << "' (" << res.iterations
+              << " block visits):\n";
+    for (const Block& blk : fn.blocks()) {
+      std::cout << "  block " << blk.name;
+      if (!res.blockReachable[blk.id.index()]) std::cout << " (unreachable)";
+      std::cout << ":\n";
+      for (OpId oid : blk.ops) {
+        const Op& o = fn.op(oid);
+        if (!o.result.valid()) continue;
+        std::cout << "    v" << o.result.get() << " = " << opName(o.kind)
+                  << " [w" << fn.value(o.result).width
+                  << "]: " << res.fact(o.result).str() << "\n";
+      }
     }
-    case OptLevel::Aggressive: {
-      auto pm = PassManager::aggressivePipeline();
-      runPipe(pm);
-      break;
-    }
-  }
-  if (a.opts.narrow) {
-    PassManager pm;
-    pm.add(createNarrowWidthsPass());
-    runPipe(pm);
+    for (const Variable& vr : fn.vars())
+      std::cout << "  var " << vr.name << " [w" << vr.width
+                << "]: " << res.varFacts[vr.id.index()].str() << "\n";
   }
 
-  if (a.inject == fuzz::InjectedBug::MulToAdd) {
-    // MulToAdd corrupts the IR before the backend, so the whole design —
-    // controller included — is consistently wrong; it can only be caught
-    // by proving the mutated function against the trusted one.
-    Function mutated = fn.clone();
-    if (fuzz::injectMulToAdd(mutated) == 0) {
-      applicable = false;
-      rep.note("sec.inject.inapplicable", fn.name(),
-               "design has no multiply to inject into");
-      return rep;
-    }
-    sec::proveFunctionEquivalence(fn, mutated, "inject:mul-to-add", rep);
-    return rep;
-  }
+  CheckReport report;
+  checkSemantics(fn, report);
+  printReport(a.file, report);
 
-  SynthesisOptions so = a.opts;
-  so.prove = false;  // the proof runs below, reporting instead of throwing
-  so.narrow = false;
-  so.opt = OptLevel::None;  // pipeline already applied above
-  Synthesizer synth(so);
-  SynthesisResult r = synth.synthesizeOptimized(fn);
-  if (a.inject == fuzz::InjectedBug::ScheduleShift &&
-      fuzz::injectScheduleShift(r.design, a.opts.latencies) == 0)
-    applicable = false;
-  if (a.inject == fuzz::InjectedBug::SwappedBinding &&
-      fuzz::injectSwappedBinding(r.design, a.opts.latencies) == 0)
-    applicable = false;
-  if (!applicable) {
-    rep.note("sec.inject.inapplicable", fn.name(),
-             "no eligible mutation site in this design");
-    return rep;
+  if (!a.dotFactsOut.empty()) {
+    std::ofstream out(a.dotFactsOut);
+    if (!out) return fail("cannot write " + a.dotFactsOut);
+    const auto notes = factAnnotations(fn, res);
+    out << controlFlowDot(fn);
+    for (const Block& blk : fn.blocks())
+      if (!blk.ops.empty()) out << dataFlowDot(fn, blk.id, notes);
+    if (!a.quiet) std::cout << "wrote DOT to " << a.dotFactsOut << "\n";
   }
-  rep.merge(sec::proveEquivalence(r.design));
-  return rep;
+  return report.clean() ? 0 : 1;
 }
 
 /// `mphls prove`: the formal equivalence gate over one file or every
 /// built-in design. Without --inject, exits 0 iff every proof is clean;
 /// with --inject, exits 0 iff the injected bug was caught (proof NOT
 /// clean) on every design it applies to — the gate's self-test.
-int runProve(const CliArgs& a, std::optional<Function> fileFn) {
-  struct Target {
-    std::string name;
-    std::string source;
-  };
-  std::vector<Target> targets;
-  if (a.builtins) {
-    for (const auto& d : designs::all()) targets.push_back({d.name, d.source});
-  } else {
-    targets.push_back({a.file, ""});
-  }
-
+int runProve(const DesignArgs& a, const cmd::Request& file) {
   const bool injecting = a.inject != fuzz::InjectedBug::None;
-  int applicableCount = 0, cleanCount = 0, caughtCount = 0;
+  if (a.jsonFormat && !a.builtins && !injecting)
+    return printResult(a, cmd::proveJson(file, a.provePasses));
+  const cmd::ProveInjection inject =
+      fuzz::proveInjection(a.inject, a.opts.latencies);
+  int applicable = 0, clean = 0;
   std::string json = "[";
-  bool ok = true;
-  for (std::size_t t = 0; t < targets.size(); ++t) {
-    std::optional<Function> compiled;
-    if (!a.builtins) {
-      compiled = std::move(fileFn);
-    } else {
-      DiagEngine diags;
-      auto fn = compileBdl(targets[t].source, diags);
-      if (!fn)
-        return fail("builtin '" + targets[t].name + "' failed to compile");
-      compiled = std::move(*fn);
+  for (const cmd::Request& req : targets(a, file)) {
+    const auto o = cmd::proveReport(req, a.provePasses, inject);
+    if (!o.value) return fail(req.name + ": " + o.failure.error);
+    const CheckReport& rep = o.value->report;
+    if (o.value->applicable) {
+      ++applicable;
+      if (rep.clean()) ++clean;
     }
-    bool applicable = true;
-    CheckReport rep = proveOne(a, *compiled, applicable);
-    if (applicable) {
-      ++applicableCount;
-      if (rep.clean()) ++cleanCount;
-      else ++caughtCount;
-    }
-
     if (a.jsonFormat) {
-      if (t > 0) json += ",";
-      json += cmd::reportJson(a.builtins ? "design" : "file", targets[t].name,
-                              rep);
+      if (json.size() > 1) json += ",";
+      json += cmd::reportJson(a.builtins ? "design" : "file", req.name, rep);
       continue;
     }
-    std::string verdict;
-    if (!applicable)
-      verdict = "injection not applicable (skipped)";
-    else if (injecting)
-      verdict = rep.clean() ? "injected bug NOT caught"
-                            : "injected bug caught (proof failed as it"
-                              " should)";
-    else
-      verdict = rep.clean() ? "proved equivalent" : "NOT proved";
-    std::cout << targets[t].name << ": " << verdict << "\n";
-    const bool bad = injecting ? (applicable && rep.clean()) : !rep.clean();
-    if (!a.quiet || bad)
-      if (!rep.empty()) std::cout << rep.render();
+    const char* verdict =
+        !o.value->applicable ? "injection not applicable (skipped)"
+        : !injecting ? (rep.clean() ? "proved equivalent" : "NOT proved")
+        : rep.clean() ? "injected bug NOT caught"
+                      : "injected bug caught (proof failed as it should)";
+    std::cout << req.name << ": " << verdict << "\n";
+    const bool bad =
+        injecting ? (o.value->applicable && rep.clean()) : !rep.clean();
+    if ((!a.quiet || bad) && !rep.empty()) std::cout << rep.render();
   }
 
-  if (injecting)
-    ok = applicableCount > 0 && cleanCount == 0;
-  else
-    ok = cleanCount == applicableCount;
-  if (a.jsonFormat) {
-    json += "]";
-    std::cout << json << "\n";
-  } else if (injecting) {
-    std::cout << "prove --inject: " << caughtCount << "/" << applicableCount
-              << " applicable design(s) caught\n";
-  }
-  int rc = writeObsOutputs(a.traceOut, a.statsOut, a.quiet);
+  const bool ok = injecting ? applicable > 0 && clean == 0
+                            : clean == applicable;
+  if (a.jsonFormat)
+    std::cout << json << "]\n";
+  else if (injecting)
+    std::cout << "prove --inject: " << applicable - clean << "/"
+              << applicable << " applicable design(s) caught\n";
+  const int rc = writeObsOutputs(a.traceOut, a.statsOut, a.quiet);
   return ok ? rc : 1;
 }
 
 /// `mphls sta`: path-level static timing analysis over one file or every
 /// built-in design. Prints the summary, the K worst named paths and the
 /// timing lint's findings; exits 1 on any error-severity finding.
-int runStaCmd(const CliArgs& a, std::optional<Function> fileFn) {
-  struct Target {
-    std::string name;
-    std::string source;
-  };
-  std::vector<Target> targets;
-  if (a.builtins) {
-    for (const auto& d : designs::all()) targets.push_back({d.name, d.source});
-  } else {
-    targets.push_back({a.file, ""});
-  }
-
-  // Like lint: the stage-exit throwing checks are disabled so the timing
-  // report below collects every finding instead of dying mid-pipeline.
-  SynthesisOptions so = a.opts;
-  so.check = false;
+int runSta(const DesignArgs& a, const cmd::Request& file) {
+  if (a.jsonFormat && !a.builtins)
+    return printResult(a, cmd::staJson(file, a.staClock, a.staPaths));
   bool ok = true;
-  std::vector<JsonValue> reports;
-  for (std::size_t t = 0; t < targets.size(); ++t) {
-    std::optional<Function> compiled;
-    if (!a.builtins) {
-      compiled = std::move(fileFn);
-    } else {
-      DiagEngine diags;
-      auto fn = compileBdl(targets[t].source, diags);
-      if (!fn)
-        return fail("builtin '" + targets[t].name + "' failed to compile");
-      compiled = std::move(*fn);
-    }
-    Synthesizer synth(so);
-    std::optional<SynthesisResult> result;
-    try {
-      result = synth.synthesize(std::move(*compiled));
-    } catch (const InternalError& e) {
-      return fail("synthesis of '" + targets[t].name +
-                  "' failed before timing analysis: " + e.what());
-    }
-
-    sta::StaOptions sopt;
-    sopt.clockNs = a.staClock;
-    sopt.maxPaths = a.staPaths;
-    const sta::StaResult r = sta::runSta(result->design, sopt);
-    CheckReport rep;
-    TimingLintOptions topt;
-    topt.clockNs = a.staClock;
-    topt.maxReported = std::max(a.staPaths, 1);
-    checkTiming(result->design, topt, rep);
+  JsonValue reports = JsonValue::array();  // --builtins --format json
+  for (const cmd::Request& req : targets(a, file)) {
+    const auto o = cmd::staReport(req, a.staClock, a.staPaths);
+    if (!o.value) return fail(req.name + ": " + o.failure.error);
+    const sta::StaResult& r = o.value->timing;
+    const CheckReport& rep = o.value->lint;
     ok = ok && rep.clean();
-
     if (a.jsonFormat) {
-      reports.push_back(cmd::staJsonValue(a.builtins ? "design" : "file",
-                                          targets[t].name, r, rep));
+      reports.push(cmd::staJsonValue("design", req.name, *o.value));
       continue;
     }
     std::printf("%s: clock %.3f%s, cycle time %.3f, worst slack %+.3f,"
                 " critical state %d\n",
-                targets[t].name.c_str(), r.clockNs,
+                req.name.c_str(), r.clockNs,
                 r.clockWasEstimated ? " (estimated)" : "", r.cycleTime,
                 r.worstSlack, r.criticalState);
     std::printf("  %zu/%zu state(s) reachable, %zu endpoint(s); structural"
@@ -955,544 +534,26 @@ int runStaCmd(const CliArgs& a, std::optional<Function> fileFn) {
         std::cout << "  " << p.describe() << "\n";
     if (!rep.empty() && (!a.quiet || !rep.clean())) std::cout << rep.render();
   }
-
-  if (a.jsonFormat) {
-    // One object for a file, an array for --builtins (prove convention).
-    if (a.builtins) {
-      JsonValue arr = JsonValue::array();
-      for (JsonValue& j : reports) arr.push(std::move(j));
-      std::cout << arr.dump();
-    } else {
-      std::cout << reports.front().dump();
-    }
-  }
+  if (a.jsonFormat) std::cout << reports.dump();
   const int rc = writeObsOutputs(a.traceOut, a.statsOut, a.quiet);
   return ok ? rc : 1;
 }
 
-int runBench(int argc, char** argv) {
-  BenchOptions b;
-  b.jobs = 0;  // hardware concurrency unless --jobs given
-  std::string traceOut, statsOut, logFile, logLevel;
-  bool simSuite = false;
-  bool staSuite = false;
-  bool repeatsGiven = false;
-  bool check = false;
-  BenchCheckOptions cc;
-  cc.inDirs.clear();
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) return nullptr;
-      return argv[++i];
-    };
-    if (arg == "--sim") {
-      simSuite = true;
-    } else if (arg == "--sta") {
-      staSuite = true;
-    } else if (arg == "--check") {
-      check = true;
-    } else if (arg == "--baseline-dir") {
-      const char* v = next();
-      if (!v) return (usage(), 2);
-      cc.baselineDir = v;
-    } else if (arg == "--in") {
-      const char* v = next();
-      if (!v) return (usage(), 2);
-      cc.inDirs.push_back(v);
-    } else if (arg == "--log-file") {
-      const char* v = next();
-      if (!v) return (usage(), 2);
-      logFile = v;
-    } else if (arg == "--log-level") {
-      const char* v = next();
-      if (!v) return (usage(), 2);
-      logLevel = v;
-    } else if (arg == "--jobs") {
-      const char* v = next();
-      if (!v || std::atoi(v) < 1) return (usage(), 2);
-      b.jobs = std::atoi(v);
-    } else if (arg == "--points") {
-      const char* v = next();
-      if (!v || std::atoi(v) < 1) return (usage(), 2);
-      b.points = std::atoi(v);
-    } else if (arg == "--repeats") {
-      const char* v = next();
-      if (!v || std::atoi(v) < 1) return (usage(), 2);
-      b.repeats = std::atoi(v);
-      repeatsGiven = true;
-    } else if (arg == "--sched-ops") {
-      const char* v = next();
-      if (!v || std::atoi(v) < 4) return (usage(), 2);
-      b.schedOps = std::atoi(v);
-    } else if (arg == "--out") {
-      const char* v = next();
-      if (!v) return (usage(), 2);
-      b.outDir = v;
-    } else if (arg == "--trace") {
-      const char* v = next();
-      if (!v) return (usage(), 2);
-      traceOut = v;
-    } else if (arg == "--stats") {
-      const char* v = next();
-      if (!v) return (usage(), 2);
-      statsOut = v;
-    } else if (arg == "--quiet") {
-      b.quiet = true;
-    } else {
-      usage();
-      return 2;
-    }
-  }
-  if (!applyLogging(logFile, logLevel)) return 1;
-  if (check) {
-    if (cc.inDirs.empty()) cc.inDirs.push_back(".");
-    if (b.outDir != "." && !b.outDir.empty()) cc.outFile = b.outDir;
-    cc.quiet = b.quiet;
-    return runBenchCheck(cc);
-  }
-  enableTracing(traceOut);
-  int rc;
-  if (simSuite) {
-    fuzz::SimBenchOptions sb;
-    sb.repeats = repeatsGiven ? b.repeats : 5;  // sim suite: best-of-5
-    sb.outDir = b.outDir;
-    sb.quiet = b.quiet;
-    rc = fuzz::runSimBenchSuite(sb);
-  } else if (staSuite) {
-    if (!repeatsGiven) b.repeats = 5;  // analysis is fast: best-of-5
-    rc = runStaBenchSuite(b);
-  } else {
-    rc = runBenchSuite(b);
-  }
-  if (writeObsOutputs(traceOut, statsOut, b.quiet) != 0 && rc == 0) rc = 1;
-  return rc;
-}
-
-/// `mphls fuzz`: differential co-simulation campaigns and corpus replay.
-int runFuzz(int argc, char** argv) {
-  fuzz::CampaignOptions c;
-  c.jobs = 0;  // hardware concurrency unless --jobs given
-  std::string matrixName = "standard";
-  std::string replayDir;
-  std::string outFile;
-  std::string traceOut, statsOut, logFile, logLevel;
-  bool save = true;
-  bool quiet = false;
-  c.corpusDir = "fuzz-corpus";
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) return nullptr;
-      return argv[++i];
-    };
-    if (arg == "--seeds") {
-      const char* v = next();
-      if (!v || std::atoi(v) < 1) return (usage(), 2);
-      c.seeds = std::atoi(v);
-    } else if (arg == "--seed-base") {
-      const char* v = next();
-      if (!v) return (usage(), 2);
-      c.seedBase = std::strtoull(v, nullptr, 0);
-    } else if (arg == "--jobs") {
-      const char* v = next();
-      if (!v || std::atoi(v) < 1) return (usage(), 2);
-      c.jobs = std::atoi(v);
-    } else if (arg == "--matrix") {
-      const char* v = next();
-      if (!v) return (usage(), 2);
-      matrixName = v;
-    } else if (arg == "--trials") {
-      const char* v = next();
-      if (!v || std::atoi(v) < 1) return (usage(), 2);
-      c.diff.trials = std::atoi(v);
-    } else if (arg == "--engine") {
-      const char* v = next();
-      if (!v || !vm::parseEngineKind(v, c.diff.engine.kind))
-        return (usage(), 2);
-    } else if (arg == "--cross-check") {
-      const char* v = next();
-      if (!v) return (usage(), 2);
-      const double rate = std::atof(v);
-      if (rate < 0.0 || rate > 1.0) return (usage(), 2);
-      c.diff.engine.crossCheck = rate;
-    } else if (arg == "--reduce") {
-      c.reduce = true;
-    } else if (arg == "--corpus") {
-      const char* v = next();
-      if (!v) return (usage(), 2);
-      c.corpusDir = v;
-    } else if (arg == "--no-save") {
-      save = false;
-    } else if (arg == "--replay") {
-      const char* v = next();
-      if (!v) return (usage(), 2);
-      replayDir = v;
-    } else if (arg == "--inject") {
-      const char* v = next();
-      if (!v || !fuzz::parseInjectedBug(v, c.diff.inject))
-        return (usage(), 2);
-    } else if (arg == "--no-check") {
-      c.diff.check = false;
-    } else if (arg == "--out") {
-      const char* v = next();
-      if (!v) return (usage(), 2);
-      outFile = v;
-    } else if (arg == "--trace") {
-      const char* v = next();
-      if (!v) return (usage(), 2);
-      traceOut = v;
-    } else if (arg == "--stats") {
-      const char* v = next();
-      if (!v) return (usage(), 2);
-      statsOut = v;
-    } else if (arg == "--log-file") {
-      const char* v = next();
-      if (!v) return (usage(), 2);
-      logFile = v;
-    } else if (arg == "--log-level") {
-      const char* v = next();
-      if (!v) return (usage(), 2);
-      logLevel = v;
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else {
-      usage();
-      return 2;
-    }
-  }
-  if (!applyLogging(logFile, logLevel)) return 1;
-  fuzz::FuzzMatrix matrix;
-  if (!fuzz::FuzzMatrix::parse(matrixName, matrix)) return (usage(), 2);
-  c.diff.points = matrix.points();
-  if (!save) c.corpusDir.clear();
-  enableTracing(traceOut);
-  // The live progress line is cosmetic, so it only runs when a human is
-  // plausibly watching: stderr is a terminal and --quiet was not given.
-  c.heartbeat = !quiet && isatty(2) != 0;
-
-  if (!replayDir.empty()) {
-    auto r = fuzz::replayCorpus(replayDir, c.diff, c.jobs);
-    if (r.entries == 0) return fail("no corpus entries under " + replayDir);
-    for (const auto& o : r.outcomes) {
-      if (o.verdict.ok()) {
-        if (!quiet)
-          std::cout << "replay " << o.name << ": ok (" << o.verdict.pointsRun
-                    << " points)\n";
-        continue;
-      }
-      std::cout << "replay " << o.name << ": FAIL\n";
-      for (const auto& f : o.verdict.failures) {
-        const std::string pl = f.pointLabel();
-        std::cout << "  [" << f.kind << "]"
-                  << (pl.empty() ? "" : " " + pl) << ": " << f.detail << "\n";
-      }
-    }
-    std::cout << "fuzz replay: " << r.entries << " entries, " << r.failed
-              << " failing (" << matrixName << " matrix)\n";
-    if (writeObsOutputs(traceOut, statsOut, quiet) != 0) return 1;
-    return r.clean() ? 0 : 1;
-  }
-
-  fuzz::CampaignResult r = fuzz::runCampaign(c);
-  if (!quiet || !r.clean()) {
-    std::cout << "fuzz: " << r.seeds << " seeds x " << r.pointsPerProgram
-              << " matrix points (" << matrixName << ", engine="
-              << vm::engineKindName(c.diff.engine.kind) << "), "
-              << r.pointsRun << " designs synthesized, " << r.simulations
-              << " co-simulations in " << r.wallSeconds << "s ("
-              << (r.wallSeconds > 0
-                      ? (double)r.simulations / r.wallSeconds
-                      : 0.0)
-              << " cosims/s)\n";
-    for (const auto& fc : r.failures) {
-      const auto& first = fc.verdict.failures.front();
-      const std::string pl = first.pointLabel();
-      std::cout << "  seed " << fc.verdict.seed << ": [" << first.kind
-                << "]" << (pl.empty() ? "" : " " + pl) << ": " << first.detail
-                << "\n";
-      if (!fc.corpusPath.empty())
-        std::cout << "    saved " << fc.corpusPath << "\n";
-      if (!fc.reducedPath.empty())
-        std::cout << "    minimized (" << fc.reduceStats.finalStmts
-                  << " stmts, " << fc.reduceStats.attempts
-                  << " attempts) " << fc.reducedPath << "\n";
-    }
-    std::cout << "fuzz: " << r.failedPrograms << " failing programs ("
-              << r.mismatches << " mismatches, " << r.checkFailures
-              << " check findings, " << r.errors << " errors, "
-              << r.divergences << " vm divergences, " << r.staFailures
-              << " sta failures)\n";
-  }
-
-  if (outFile.empty() && !r.clean() && !c.corpusDir.empty())
-    outFile = c.corpusDir + "/FUZZ_report.json";
-  if (!outFile.empty()) {
-    std::ofstream out(outFile);
-    if (!out) return fail("cannot write " + outFile);
-    out << fuzz::campaignReport(c, r, matrixName).dump();
-    if (!quiet) std::cout << "wrote " << outFile << "\n";
-  }
-  if (writeObsOutputs(traceOut, statsOut, quiet) != 0) return 1;
-  return r.clean() ? 0 : 1;
-}
-
-/// The running daemon, for the signal handlers. requestStop() is
-/// async-signal-safe (one write(2) down the self-pipe).
-std::atomic<serve::Server*> g_serveServer{nullptr};
-
-void serveSignalHandler(int) {
-  if (serve::Server* s = g_serveServer.load()) s->requestStop();
-}
-
-/// `mphls serve`: run the synthesis daemon until SIGTERM/SIGINT.
-int runServe(int argc, char** argv) {
-  serve::ServerOptions so;
-  so.port = 8080;
-  // Same baseline option vector as the offline CLI (universalSet(2) FUs):
-  // a daemon request with no "options" must produce the CLI's exact bytes.
-  so.service.defaults.resources = ResourceLimits::universalSet(2);
-  bool quiet = false;
-  std::string logFile, logLevel;
-  std::string flightDump = "mphls-flight.dump";
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) return nullptr;
-      return argv[++i];
-    };
-    if (arg == "--port") {
-      const char* v = next();
-      if (!v || std::atoi(v) < 0 || std::atoi(v) > 65535) return (usage(), 2);
-      so.port = std::atoi(v);
-    } else if (arg == "--jobs") {
-      const char* v = next();
-      if (!v || std::atoi(v) < 1) return (usage(), 2);
-      so.jobs = std::atoi(v);
-    } else if (arg == "--max-connections") {
-      const char* v = next();
-      if (!v || std::atoi(v) < 1) return (usage(), 2);
-      so.maxConnections = std::atoi(v);
-    } else if (arg == "--log-file") {
-      const char* v = next();
-      if (!v) return (usage(), 2);
-      logFile = v;
-    } else if (arg == "--log-level") {
-      const char* v = next();
-      if (!v) return (usage(), 2);
-      logLevel = v;
-    } else if (arg == "--flight-dump") {
-      const char* v = next();
-      if (!v) return (usage(), 2);
-      flightDump = v;
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else {
-      usage();
-      return 2;
-    }
-  }
-  // The daemon always records: the flight ring is cheap (a few MB, no
-  // locks), and the whole point is having history when a crash arrives
-  // unannounced. SIGQUIT dumps and keeps running; fatal signals dump and
-  // re-raise.
-  obs::FlightRecorder::installCrashHandlers(flightDump.c_str());
-  if (!applyLogging(logFile, logLevel)) return 1;
-  serve::Server server(so);
-  std::string err;
-  if (!server.start(err)) return fail("serve: " + err);
-  g_serveServer.store(&server);
-  std::signal(SIGTERM, serveSignalHandler);
-  std::signal(SIGINT, serveSignalHandler);
-  std::signal(SIGPIPE, SIG_IGN);
-  // One flushed line with the resolved port: scripts bind port 0 and read
-  // the real one from here.
-  std::cout << "mphls serve: listening on 127.0.0.1:" << server.port()
-            << " (jobs=" << resolveJobs(so.jobs) << ")" << std::endl;
-  server.run();
-  g_serveServer.store(nullptr);
-  if (!quiet)
-    std::cout << "mphls serve: drained " << server.sessionsOpened()
-              << " session(s), exiting\n";
-  return 0;
-}
-
-/// `mphls loadgen`: replay a deterministic request mix against a daemon.
-int runLoadgenCmd(int argc, char** argv) {
-  serve::LoadgenOptions lo;
-  bool quiet = false;
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) return nullptr;
-      return argv[++i];
-    };
-    if (arg == "--url") {
-      const char* v = next();
-      if (!v) return (usage(), 2);
-      lo.url = v;
-    } else if (arg == "--clients") {
-      const char* v = next();
-      if (!v || std::atoi(v) < 1) return (usage(), 2);
-      lo.clients = std::atoi(v);
-    } else if (arg == "--requests") {
-      const char* v = next();
-      if (!v || std::atoi(v) < 1) return (usage(), 2);
-      lo.requests = std::atoi(v);
-    } else if (arg == "--mix") {
-      const char* v = next();
-      if (!v) return (usage(), 2);
-      lo.mix = v;
-    } else if (arg == "--seed") {
-      const char* v = next();
-      if (!v) return (usage(), 2);
-      lo.seed = std::strtoull(v, nullptr, 0);
-    } else if (arg == "--out") {
-      const char* v = next();
-      if (!v) return (usage(), 2);
-      lo.reportPath = v;
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else {
-      usage();
-      return 2;
-    }
-  }
-  std::signal(SIGPIPE, SIG_IGN);
-  const serve::LoadgenReport rep = serve::runLoadgen(lo);
-  if (!rep.error.empty()) return fail("loadgen: " + rep.error);
-  if (!quiet) {
-    std::printf("loadgen: %d requests from %d client(s) in %.3fs"
-                " (%.1f req/s)\n",
-                rep.requestsSent, lo.clients, rep.wallSeconds,
-                rep.requestsPerSecond);
-    std::printf("  latency p50 %.2fms, p99 %.2fms; errors: %d transport,"
-                " %d http, %d invalid-json\n",
-                rep.p50Ms, rep.p99Ms, rep.transportErrors, rep.httpErrors,
-                rep.invalidJson);
-    std::printf("  frontend cache hit rate %.1f%%\n",
-                100.0 * rep.cacheHitRate);
-    if (!lo.reportPath.empty())
-      std::printf("  wrote %s\n", lo.reportPath.c_str());
-  }
-  return rep.clean() ? 0 : 1;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  if (argc > 1 && std::string(argv[1]) == "bench") return runBench(argc, argv);
-  if (argc > 1 && std::string(argv[1]) == "fuzz") return runFuzz(argc, argv);
-  if (argc > 1 && std::string(argv[1]) == "serve") return runServe(argc, argv);
-  if (argc > 1 && std::string(argv[1]) == "loadgen")
-    return runLoadgenCmd(argc, argv);
-  auto parsed = parseArgs(argc, argv);
-  if (!parsed) {
-    usage();
-    return 2;
-  }
-  CliArgs& a = *parsed;
-  enableTracing(a.traceOut);
-  if (!applyLogging(a.logFile, a.logLevel)) return 1;
-
-  if (a.profile && !a.flightIn.empty()) return runProfileFlight(a.flightIn);
-  if (a.analyze && a.builtins) return runAnalyzeBuiltins(a.quiet);
-  if (a.prove && a.builtins) return runProve(a, std::nullopt);
-  if (a.sta && a.builtins) return runStaCmd(a, std::nullopt);
-
-  std::ifstream in(a.file);
-  if (!in) return fail("cannot open " + a.file);
-  std::stringstream buf;
-  buf << in.rdbuf();
-
-  // Single-file --format json goes through the shared command layer
-  // (core/commands.h) — the exact functions behind the daemon's endpoints,
-  // so the offline reports and the served ones can never drift.
-  if (a.jsonFormat && a.inject == fuzz::InjectedBug::None &&
-      (a.synthCmd || a.lint || a.analyze || a.prove || a.sta)) {
-    cmd::Request req{a.file, buf.str(), a.top, a.opts};
-    cmd::Result r;
-    if (a.lint)
-      r = cmd::lintJson(req);
-    else if (a.analyze)
-      r = cmd::analyzeJson(req,
-                           a.optExplicit && a.opts.opt != OptLevel::None);
-    else if (a.prove)
-      r = cmd::proveJson(req, a.provePasses);
-    else if (a.sta)
-      r = cmd::staJson(req, a.staClock, a.staPaths);
-    else
-      r = cmd::synthJson(req);
-    std::cout << r.body;
-    const int rc = writeObsOutputs(a.traceOut, a.statsOut, a.quiet);
-    return r.ok ? rc : 1;
-  }
-
+/// `mphls [synth] design.bdl` and `mphls profile design.bdl`.
+int runSynth(const DesignArgs& a, const cmd::Request& req) {
+  if (a.jsonFormat && a.cmdGiven && a.cmd == DesignCmd::Synth)
+    return printResult(a, cmd::synthJson(req));
   DiagEngine diags;
-  auto fn = compileBdl(buf.str(), diags, a.top);
-  for (const auto& d : diags.all()) std::cerr << a.file << ":" << d.str() << "\n";
+  auto fn = compileBdl(req.source, diags, a.top);
+  for (const auto& d : diags.all())
+    std::cerr << a.file << ":" << d.str() << "\n";
   if (!fn) return 1;
-
-  if (a.analyze) {
-    // With an explicit --opt, analyze the post-pipeline IR — the facts the
-    // narrowing pass actually consumes (and a debugging aid for it). With
-    // --narrow as well, apply the narrowing pass too and show the widths
-    // and re-derived facts it left behind.
-    if (a.optExplicit && a.opts.opt != OptLevel::None) {
-      auto pm = a.opts.opt == OptLevel::Aggressive
-                    ? PassManager::aggressivePipeline()
-                    : PassManager::standardPipeline();
-      pm.run(*fn);
-    }
-    if (a.opts.narrow) {
-      PassManager pm;
-      pm.add(createNarrowWidthsPass());
-      pm.run(*fn);
-    }
-    return runAnalyze(*fn, a.file, a.dotFactsOut, a.quiet);
-  }
-
-  if (a.prove) return runProve(a, std::move(*fn));
-  if (a.sta) return runStaCmd(a, std::move(*fn));
-
-  if (a.lint) {
-    // Lint collects every finding in one pass, so the stage-exit throwing
-    // checks inside the pipeline are disabled and checkDesign runs on the
-    // finished design instead.
-    SynthesisOptions lintOpts = a.opts;
-    lintOpts.check = false;
-    Synthesizer synth(lintOpts);
-    std::optional<SynthesisResult> result;
-    try {
-      result = synth.synthesize(std::move(*fn));
-    } catch (const InternalError& e) {
-      return fail(std::string("synthesis failed before checking: ") +
-                  e.what());
-    }
-    CheckOptions copts;
-    const bool limited = a.opts.scheduler != SchedulerKind::ForceDirected &&
-                         a.opts.scheduler != SchedulerKind::Serial;
-    copts.resources =
-        limited ? a.opts.resources : ResourceLimits::unlimited();
-    copts.latencies = a.opts.latencies;
-    CheckReport report = checkDesign(result->design, copts);
-    if (a.jsonFormat) {
-      std::cout << cmd::reportJson("file", a.file, report) << "\n";
-      return report.clean() ? 0 : 1;
-    }
-    if (report.empty()) {
-      std::cout << a.file << ": clean (0 findings)\n";
-      return 0;
-    }
-    std::cout << report.render();
-    return report.clean() ? 0 : 1;
-  }
 
   Synthesizer synth(a.opts);
   SynthesisResult result = synth.synthesize(std::move(*fn));
   const RtlDesign& d = result.design;
 
-  if (a.profile) return runProfile(a, result);
+  if (a.cmd == DesignCmd::Profile) return runProfile(a, result);
 
   if (!a.quiet) {
     std::cout << "design '" << d.fn.name() << "': " << d.fn.numLiveOps()
@@ -1560,7 +621,7 @@ int main(int argc, char** argv) {
   }
 
   if (a.sweep > 0) {
-    auto points = exploreResourceSweep(buf.str(), a.sweep, a.opts);
+    auto points = exploreResourceSweep(req.source, a.sweep, a.opts);
     std::cout << "sweep (list scheduling, 1.." << a.sweep << " FUs):\n";
     std::printf("  %-8s %8s %12s %12s %8s\n", "FUs", "latency", "cycle",
                 "area", "pareto");
@@ -1573,4 +634,220 @@ int main(int argc, char** argv) {
     if (!recordSimulation(d, simInputs(a, d), a.vcdOut, a.quiet)) ++failures;
   if (writeObsOutputs(a.traceOut, a.statsOut, a.quiet) != 0) ++failures;
   return failures == 0 ? 0 : 1;
+}
+
+/// Design subcommands: one flag table, then one runner per subcommand.
+int runDesign(int argc, char** argv) {
+  const auto parsed = cli::parseDesign(argc, argv);
+  if (!parsed) return 2;
+  const DesignArgs& a = *parsed;
+  enableTracing(a.traceOut);
+  if (!applyLogging(a.logFile, a.logLevel)) return 1;
+  if (!a.flightIn.empty()) return runProfileFlight(a.flightIn);
+
+  cmd::Request req{a.file, "", a.top, a.opts};
+  if (!a.builtins) {
+    std::ifstream in(a.file);
+    if (!in) return fail("cannot open " + a.file);
+    std::stringstream buf;
+    buf << in.rdbuf();
+    req.source = buf.str();
+  }
+  // Indexed by DesignCmd.
+  static constexpr int (*kRun[])(const DesignArgs&, const cmd::Request&) = {
+      runSynth, runLint, runAnalyze, runProve, runSta, runSynth};
+  return kRun[(int)a.cmd](a, req);
+}
+
+/// `mphls bench`: the throughput suites, or the --check regression gate.
+int runBench(int argc, char** argv) {
+  auto parsed = cli::parseTool<cli::BenchArgs>(argc, argv);
+  if (!parsed) return 2;
+  cli::BenchArgs& a = *parsed;
+  BenchOptions& b = a.bench;
+  if (!applyLogging(a.logFile, a.logLevel)) return 1;
+  if (a.checkMode) {
+    BenchCheckOptions& cc = a.check;
+    if (cc.inDirs.empty()) cc.inDirs.push_back(".");
+    if (b.outDir != "." && !b.outDir.empty()) cc.outFile = b.outDir;
+    cc.quiet = b.quiet;
+    return runBenchCheck(cc);
+  }
+  enableTracing(a.traceOut);
+  int rc;
+  if (a.simSuite) {
+    fuzz::SimBenchOptions sb;
+    sb.repeats = a.repeatsGiven ? b.repeats : 5;  // sim suite: best-of-5
+    sb.outDir = b.outDir;
+    sb.quiet = b.quiet;
+    rc = fuzz::runSimBenchSuite(sb);
+  } else if (a.staSuite) {
+    if (!a.repeatsGiven) b.repeats = 5;  // analysis is fast: best-of-5
+    rc = runStaBenchSuite(b);
+  } else {
+    rc = runBenchSuite(b);
+  }
+  if (writeObsOutputs(a.traceOut, a.statsOut, b.quiet) != 0 && rc == 0)
+    rc = 1;
+  return rc;
+}
+
+/// `mphls fuzz`: differential co-simulation campaigns and corpus replay.
+int runFuzz(int argc, char** argv) {
+  auto parsed = cli::parseTool<cli::FuzzArgs>(argc, argv);
+  if (!parsed) return 2;
+  cli::FuzzArgs& a = *parsed;
+  fuzz::CampaignOptions& c = a.campaign;
+  if (!applyLogging(a.logFile, a.logLevel)) return 1;
+  if (!a.save) c.corpusDir.clear();
+  enableTracing(a.traceOut);
+  // The live progress line is cosmetic, so it only runs when a human is
+  // plausibly watching: stderr is a terminal and --quiet was not given.
+  c.heartbeat = !a.quiet && isatty(2) != 0;
+
+  if (!a.replayDir.empty()) {
+    auto r = fuzz::replayCorpus(a.replayDir, c.diff, c.jobs);
+    if (r.entries == 0) return fail("no corpus entries under " + a.replayDir);
+    for (const auto& o : r.outcomes) {
+      if (o.verdict.ok()) {
+        if (!a.quiet)
+          std::cout << "replay " << o.name << ": ok (" << o.verdict.pointsRun
+                    << " points)\n";
+        continue;
+      }
+      std::cout << "replay " << o.name << ": FAIL\n";
+      for (const auto& f : o.verdict.failures) {
+        const std::string pl = f.pointLabel();
+        std::cout << "  [" << f.kind << "]"
+                  << (pl.empty() ? "" : " " + pl) << ": " << f.detail << "\n";
+      }
+    }
+    std::cout << "fuzz replay: " << r.entries << " entries, " << r.failed
+              << " failing (" << a.matrixName << " matrix)\n";
+    if (writeObsOutputs(a.traceOut, a.statsOut, a.quiet) != 0) return 1;
+    return r.clean() ? 0 : 1;
+  }
+
+  fuzz::CampaignResult r = fuzz::runCampaign(c);
+  if (!a.quiet || !r.clean()) {
+    std::cout << "fuzz: " << r.seeds << " seeds x " << r.pointsPerProgram
+              << " matrix points (" << a.matrixName << ", engine="
+              << vm::engineKindName(c.diff.engine.kind) << "), "
+              << r.pointsRun << " designs synthesized, " << r.simulations
+              << " co-simulations in " << r.wallSeconds << "s ("
+              << (r.wallSeconds > 0
+                      ? (double)r.simulations / r.wallSeconds
+                      : 0.0)
+              << " cosims/s)\n";
+    for (const auto& fc : r.failures) {
+      const auto& first = fc.verdict.failures.front();
+      const std::string pl = first.pointLabel();
+      std::cout << "  seed " << fc.verdict.seed << ": [" << first.kind
+                << "]" << (pl.empty() ? "" : " " + pl) << ": " << first.detail
+                << "\n";
+      if (!fc.corpusPath.empty())
+        std::cout << "    saved " << fc.corpusPath << "\n";
+      if (!fc.reducedPath.empty())
+        std::cout << "    minimized (" << fc.reduceStats.finalStmts
+                  << " stmts, " << fc.reduceStats.attempts
+                  << " attempts) " << fc.reducedPath << "\n";
+    }
+    std::cout << "fuzz: " << r.failedPrograms << " failing programs ("
+              << r.mismatches << " mismatches, " << r.checkFailures
+              << " check findings, " << r.errors << " errors, "
+              << r.divergences << " vm divergences, " << r.staFailures
+              << " sta failures)\n";
+  }
+
+  if (a.outFile.empty() && !r.clean() && !c.corpusDir.empty())
+    a.outFile = c.corpusDir + "/FUZZ_report.json";
+  if (!a.outFile.empty()) {
+    std::ofstream out(a.outFile);
+    if (!out) return fail("cannot write " + a.outFile);
+    out << fuzz::campaignReport(c, r, a.matrixName).dump();
+    if (!a.quiet) std::cout << "wrote " << a.outFile << "\n";
+  }
+  if (writeObsOutputs(a.traceOut, a.statsOut, a.quiet) != 0) return 1;
+  return r.clean() ? 0 : 1;
+}
+
+/// The running daemon, for the signal handlers. requestStop() is
+/// async-signal-safe (one write(2) down the self-pipe).
+std::atomic<serve::Server*> g_serveServer{nullptr};
+
+void serveSignalHandler(int) {
+  if (serve::Server* s = g_serveServer.load()) s->requestStop();
+}
+
+/// `mphls serve`: run the synthesis daemon until SIGTERM/SIGINT.
+int runServe(int argc, char** argv) {
+  auto parsed = cli::parseTool<cli::ServeArgs>(argc, argv);
+  if (!parsed) return 2;
+  const cli::ServeArgs& a = *parsed;
+  // The daemon always records: the flight ring is cheap (a few MB, no
+  // locks), and the whole point is having history when a crash arrives
+  // unannounced. SIGQUIT dumps and keeps running; fatal signals dump and
+  // re-raise.
+  obs::FlightRecorder::installCrashHandlers(a.flightDump.c_str());
+  if (!applyLogging(a.logFile, a.logLevel)) return 1;
+  serve::Server server(a.server);
+  std::string err;
+  if (!server.start(err)) return fail("serve: " + err);
+  g_serveServer.store(&server);
+  std::signal(SIGTERM, serveSignalHandler);
+  std::signal(SIGINT, serveSignalHandler);
+  std::signal(SIGPIPE, SIG_IGN);
+  // One flushed line with the resolved port: scripts bind port 0 and read
+  // the real one from here.
+  std::cout << "mphls serve: listening on 127.0.0.1:" << server.port()
+            << " (jobs=" << resolveJobs(a.server.jobs) << ")" << std::endl;
+  server.run();
+  g_serveServer.store(nullptr);
+  if (!a.quiet)
+    std::cout << "mphls serve: drained " << server.sessionsOpened()
+              << " session(s), exiting\n";
+  return 0;
+}
+
+/// `mphls loadgen`: replay a deterministic request mix against a daemon.
+int runLoadgen(int argc, char** argv) {
+  auto parsed = cli::parseTool<cli::LoadgenArgs>(argc, argv);
+  if (!parsed) return 2;
+  const serve::LoadgenOptions& lo = parsed->loadgen;
+  std::signal(SIGPIPE, SIG_IGN);
+  const serve::LoadgenReport rep = serve::runLoadgen(lo);
+  if (!rep.error.empty()) return fail("loadgen: " + rep.error);
+  if (!parsed->quiet) {
+    std::printf("loadgen: %d requests from %d client(s) in %.3fs"
+                " (%.1f req/s)\n",
+                rep.requestsSent, lo.clients, rep.wallSeconds,
+                rep.requestsPerSecond);
+    std::printf("  latency p50 %.2fms, p99 %.2fms; errors: %d transport,"
+                " %d http, %d invalid-json\n",
+                rep.p50Ms, rep.p99Ms, rep.transportErrors, rep.httpErrors,
+                rep.invalidJson);
+    std::printf("  frontend cache hit rate %.1f%%\n",
+                100.0 * rep.cacheHitRate);
+    if (!lo.reportPath.empty())
+      std::printf("  wrote %s\n", lo.reportPath.c_str());
+  }
+  return rep.clean() ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // The tools own argv[1]; everything else is a design subcommand, whose
+  // token may follow options (`mphls --opt none lint d.bdl`).
+  static constexpr struct {
+    std::string_view name;
+    int (*run)(int, char**);
+  } kTools[] = {{"bench", runBench},
+                {"fuzz", runFuzz},
+                {"serve", runServe},
+                {"loadgen", runLoadgen}};
+  if (argc > 1)
+    for (const auto& t : kTools)
+      if (argv[1] == t.name) return t.run(argc, argv);
+  return runDesign(argc, argv);
 }

@@ -8,6 +8,7 @@
 #include "core/designs.h"
 #include "core/dse.h"
 #include "core/frontend_cache.h"
+#include "core/options.h"
 #include "ir/analysis.h"
 #include "ir/deps.h"
 #include "obs/metrics.h"
@@ -147,12 +148,9 @@ int runBenchSuite(const BenchOptions& opts) {
     thrArr.push(std::move(t));
   }
 
-  // Stage breakdown of one representative synthesis (2 universal FUs).
+  // Stage breakdown of one representative synthesis (the CLI defaults).
   {
-    SynthesisOptions o;
-    o.scheduler = SchedulerKind::List;
-    o.resources = ResourceLimits::universalSet(2);
-    Synthesizer synth(o);
+    Synthesizer synth(options::defaults());
     SynthesisResult r = synth.synthesizeSource(src);
     JsonValue& st = dse.root()["stage_seconds"] = JsonValue::object();
     st["optimize"] = r.stages.optimize;

@@ -20,36 +20,50 @@ namespace {
 
 /// Compact single-line error report, same trailing-newline convention as
 /// the lint/prove renderers.
-Result errorResult(const std::string& name, const std::string& message,
-                   bool inputError) {
+Result errorResult(const std::string& name, const Failure& f) {
   std::string body = "{\"file\":";
   obs::appendJsonString(body, name);
   body += ",\"error\":";
-  obs::appendJsonString(body, message);
+  obs::appendJsonString(body, f.error);
   body += "}\n";
-  return {std::move(body), false, inputError};
+  return {std::move(body), false, f.inputError};
 }
 
 /// Compile through the shared frontend cache and clone for backend use.
 /// Applies the width-narrowing pass when the option vector asks for it —
 /// exactly what Synthesizer::synthesize does after its pipeline stage.
-/// On a parse/verify failure, fills `err` and returns nullopt.
+/// On a parse/verify failure, fills `f` and returns nullopt.
 std::optional<Function> compileCached(const Request& req, OptLevel opt,
-                                      bool narrow, Result& err) {
+                                      bool narrow, Failure& f) {
   std::shared_ptr<const Function> cached;
   try {
     cached = FrontendCache::global().get(req.source, req.top, opt);
   } catch (const InternalError& e) {
-    err = errorResult(req.name, e.what(), true);
+    f = {e.what(), true};
     return std::nullopt;
   }
   Function fn = cached->clone();
-  if (narrow) {
-    PassManager pm;
-    pm.add(createNarrowWidthsPass());
-    pm.run(fn);
-  }
+  if (narrow) PassManager::narrowing().run(fn);
   return fn;
+}
+
+/// Compile through the cache and run the backend with `so` (its pipeline
+/// and narrowing come from req.opts, applied by the cache). A synthesis
+/// failure's message is prefixed with `prefix`.
+std::optional<SynthesisResult> synthesized(const Request& req,
+                                           SynthesisOptions so,
+                                           const std::string& prefix,
+                                           Failure& f) {
+  auto fn = compileCached(req, req.opts.opt, req.opts.narrow, f);
+  if (!fn) return std::nullopt;
+  so.opt = OptLevel::None;  // pipeline already applied by the cache
+  so.narrow = false;
+  try {
+    return Synthesizer(so).synthesizeOptimized(*fn);
+  } catch (const InternalError& e) {
+    f = {prefix + e.what(), false};
+    return std::nullopt;
+  }
 }
 
 }  // namespace
@@ -65,19 +79,9 @@ std::string reportJson(const std::string& key, const std::string& name,
 }
 
 Result synthJson(const Request& req) {
-  Result err;
-  auto fn = compileCached(req, req.opts.opt, req.opts.narrow, err);
-  if (!fn) return err;
-  SynthesisOptions so = req.opts;
-  so.opt = OptLevel::None;  // pipeline already applied by the cache
-  so.narrow = false;
-  Synthesizer synth(so);
-  std::optional<SynthesisResult> res;
-  try {
-    res = synth.synthesizeOptimized(*fn);
-  } catch (const InternalError& e) {
-    return errorResult(req.name, e.what(), false);
-  }
+  Failure f;
+  const auto res = synthesized(req, req.opts, "", f);
+  if (!res) return errorResult(req.name, f);
   const SynthesisResult& r = *res;
   const RtlDesign& d = r.design;
 
@@ -104,51 +108,51 @@ Result synthJson(const Request& req) {
   return {j.dump(), true, false};
 }
 
-Result lintJson(const Request& req) {
-  Result err;
-  auto fn = compileCached(req, req.opts.opt, req.opts.narrow, err);
-  if (!fn) return err;
+Outcome<CheckReport> lintReport(const Request& req) {
   // Lint collects every finding in one pass: the stage-exit throwing
   // checks are disabled and checkDesign runs on the finished design.
+  Outcome<CheckReport> out;
   SynthesisOptions so = req.opts;
   so.check = false;
-  so.opt = OptLevel::None;
-  so.narrow = false;
-  Synthesizer synth(so);
-  std::optional<SynthesisResult> result;
-  try {
-    result = synth.synthesizeOptimized(*fn);
-  } catch (const InternalError& e) {
-    return errorResult(req.name,
-                       std::string("synthesis failed before checking: ") +
-                           e.what(),
-                       false);
-  }
+  const auto result =
+      synthesized(req, so, "synthesis failed before checking: ", out.failure);
+  if (!result) return out;
   CheckOptions copts;
-  const bool limited = req.opts.scheduler != SchedulerKind::ForceDirected &&
-                       req.opts.scheduler != SchedulerKind::Serial;
-  copts.resources =
-      limited ? req.opts.resources : ResourceLimits::unlimited();
+  copts.resources = isResourceLimited(req.opts.scheduler)
+                        ? req.opts.resources
+                        : ResourceLimits::unlimited();
   copts.latencies = req.opts.latencies;
-  CheckReport report = checkDesign(result->design, copts);
-  return {reportJson("file", req.name, report) + "\n", report.clean(), false};
+  out.value = checkDesign(result->design, copts);
+  return out;
+}
+
+Result lintJson(const Request& req) {
+  const Outcome<CheckReport> o = lintReport(req);
+  if (!o.value) return errorResult(req.name, o.failure);
+  return {reportJson("file", req.name, *o.value) + "\n", o.value->clean(),
+          false};
+}
+
+Outcome<Function> analyzedFunction(const Request& req, bool postPipeline) {
+  Outcome<Function> out;
+  out.value = compileCached(req, postPipeline ? req.opts.opt : OptLevel::None,
+                            req.opts.narrow, out.failure);
+  return out;
 }
 
 Result analyzeJson(const Request& req, bool postPipeline) {
-  Result err;
-  auto fn = compileCached(req, postPipeline ? req.opts.opt : OptLevel::None,
-                       req.opts.narrow, err);
-  if (!fn) return err;
+  const Outcome<Function> o = analyzedFunction(req, postPipeline);
+  if (!o.value) return errorResult(req.name, o.failure);
   CheckReport report;
-  checkSemantics(*fn, report);
+  checkSemantics(*o.value, report);
   return {reportJson("file", req.name, report) + "\n", report.clean(), false};
 }
 
 JsonValue staJsonValue(const std::string& key, const std::string& name,
-                       const sta::StaResult& r, const CheckReport& rep) {
-  JsonValue j = sta::staReportJson(key, name, r);
+                       const StaReport& r) {
+  JsonValue j = sta::staReportJson(key, name, r.timing);
   JsonValue diags = JsonValue::array();
-  for (const CheckDiag& dg : rep.sorted()) {
+  for (const CheckDiag& dg : r.lint.sorted()) {
     JsonValue o = JsonValue::object();
     o["severity"] = std::string(checkSeverityName(dg.severity));
     o["code"] = dg.id;
@@ -157,110 +161,105 @@ JsonValue staJsonValue(const std::string& key, const std::string& name,
     diags.push(std::move(o));
   }
   j["diagnostics"] = std::move(diags);
-  j["errors"] = rep.errorCount();
-  j["warnings"] = rep.warningCount();
-  j["clean"] = rep.clean();
+  j["errors"] = r.lint.errorCount();
+  j["warnings"] = r.lint.warningCount();
+  j["clean"] = r.lint.clean();
   return j;
 }
 
-Result staJson(const Request& req, double clockNs, int maxPaths) {
-  Result err;
-  auto fn = compileCached(req, req.opts.opt, req.opts.narrow, err);
-  if (!fn) return err;
+Outcome<StaReport> staReport(const Request& req, double clockNs,
+                             int maxPaths) {
   // Like lint: stage-exit throwing checks off so the timing report below
   // collects every finding instead of dying mid-pipeline.
+  Outcome<StaReport> out;
   SynthesisOptions so = req.opts;
   so.check = false;
-  so.opt = OptLevel::None;
-  so.narrow = false;
-  Synthesizer synth(so);
-  std::optional<SynthesisResult> result;
-  try {
-    result = synth.synthesizeOptimized(*fn);
-  } catch (const InternalError& e) {
-    return errorResult(req.name,
-                       std::string("synthesis failed before timing"
-                                   " analysis: ") +
-                           e.what(),
-                       false);
-  }
+  const auto result = synthesized(
+      req, so, "synthesis failed before timing analysis: ", out.failure);
+  if (!result) return out;
+  StaReport r;
   sta::StaOptions sopt;
   sopt.clockNs = clockNs;
   sopt.maxPaths = maxPaths;
-  const sta::StaResult r = sta::runSta(result->design, sopt);
-  CheckReport rep;
+  r.timing = sta::runSta(result->design, sopt);
   TimingLintOptions topt;
   topt.clockNs = clockNs;
   topt.maxReported = std::max(maxPaths, 1);
-  checkTiming(result->design, topt, rep);
-  return {staJsonValue("file", req.name, r, rep).dump(), rep.clean(), false};
+  checkTiming(result->design, topt, r.lint);
+  out.value = std::move(r);
+  return out;
 }
 
-Result proveJson(const Request& req, bool provePasses) {
-  Result err;
-  auto fn = compileCached(req, OptLevel::None, false, err);
-  if (!fn) return err;
-  CheckReport rep;
-  auto runPipe = [&](PassManager& pm) {
+Result staJson(const Request& req, double clockNs, int maxPaths) {
+  const Outcome<StaReport> o = staReport(req, clockNs, maxPaths);
+  if (!o.value) return errorResult(req.name, o.failure);
+  return {staJsonValue("file", req.name, *o.value).dump(),
+          o.value->lint.clean(), false};
+}
+
+Outcome<ProveReport> proveReport(const Request& req, bool provePasses,
+                                 const ProveInjection& inject) {
+  Outcome<ProveReport> out;
+  auto fn = compileCached(req, OptLevel::None, false, out.failure);
+  if (!fn) return out;
+  ProveReport pr;
+  CheckReport& rep = pr.report;
+  auto runPipe = [&](PassManager pm) {
     if (provePasses)
       sec::runPipelineValidated(pm, *fn, rep);
     else
       pm.run(*fn);
   };
-  switch (req.opts.opt) {
-    case OptLevel::None:
-      break;
-    case OptLevel::Standard: {
-      auto pm = PassManager::standardPipeline();
-      runPipe(pm);
-      break;
-    }
-    case OptLevel::Aggressive: {
-      auto pm = PassManager::aggressivePipeline();
-      runPipe(pm);
-      break;
-    }
-  }
-  if (req.opts.narrow) {
-    PassManager pm;
-    pm.add(createNarrowWidthsPass());
-    runPipe(pm);
+  if (auto pm = PassManager::forLevel(req.opts.opt)) runPipe(std::move(*pm));
+  if (req.opts.narrow) runPipe(PassManager::narrowing());
+  auto inapplicable = [&] {
+    pr.applicable = false;
+    rep.note("sec.inject.inapplicable", fn->name(), inject.none);
+  };
+  if (inject.ir) {
+    Function mutated = fn->clone();
+    if (inject.ir(mutated) == 0)
+      inapplicable();
+    else
+      sec::proveFunctionEquivalence(*fn, mutated, inject.name, rep);
+    out.value = std::move(pr);
+    return out;
   }
   SynthesisOptions so = req.opts;
   so.prove = false;  // the proof runs below, reporting instead of throwing
   so.narrow = false;
   so.opt = OptLevel::None;  // pipeline already applied above
-  Synthesizer synth(so);
   try {
-    SynthesisResult r = synth.synthesizeOptimized(*fn);
-    rep.merge(sec::proveEquivalence(r.design));
+    SynthesisResult r = Synthesizer(so).synthesizeOptimized(*fn);
+    if (inject.design && inject.design(r.design) == 0)
+      inapplicable();
+    else
+      rep.merge(sec::proveEquivalence(r.design));
   } catch (const InternalError& e) {
-    return errorResult(req.name, e.what(), false);
+    out.failure = {e.what(), false};
+    return out;
   }
+  out.value = std::move(pr);
+  return out;
+}
+
+Result proveJson(const Request& req, bool provePasses) {
+  const Outcome<ProveReport> o = proveReport(req, provePasses);
+  if (!o.value) return errorResult(req.name, o.failure);
   // One-element array: the prove CLI prints an array even for one file.
   // Sequential append: GCC 12 -Wrestrict -O3 false positive on the
   // temporary chain (same story as obs/vcd.cpp).
   std::string body = "[";
-  body += reportJson("file", req.name, rep);
+  body += reportJson("file", req.name, o.value->report);
   body += "]\n";
-  return {std::move(body), rep.clean(), false};
+  return {std::move(body), o.value->report.clean(), false};
 }
 
 Result simJson(const Request& req,
                const std::map<std::string, std::uint64_t>& inputs) {
-  Result err;
-  auto fn = compileCached(req, req.opts.opt, req.opts.narrow, err);
-  if (!fn) return err;
-  SynthesisOptions so = req.opts;
-  so.opt = OptLevel::None;
-  so.narrow = false;
-  Synthesizer synth(so);
-  std::optional<SynthesisResult> result;
-  try {
-    result = synth.synthesizeOptimized(*fn);
-  } catch (const InternalError& e) {
-    return errorResult(req.name, e.what(), false);
-  }
+  Failure f;
+  const auto result = synthesized(req, req.opts, "", f);
+  if (!result) return errorResult(req.name, f);
   const RtlDesign& d = result->design;
   std::map<std::string, std::uint64_t> in = inputs;
   for (const auto& p : d.fn.ports())
@@ -271,7 +270,7 @@ Result simJson(const Request& req,
   try {
     res = sim.run(in);
   } catch (const std::exception& e) {
-    return errorResult(req.name, e.what(), false);
+    return errorResult(req.name, {e.what(), false});
   }
   JsonValue j = JsonValue::object();
   j["file"] = req.name;

@@ -15,7 +15,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <optional>
 #include <string>
 
 #include "check/report.h"
@@ -51,24 +53,72 @@ struct Result {
 /// and controller structure, area/cycle-time estimates.
 [[nodiscard]] Result synthJson(const Request& req);
 
-/// Full static verification report over the synthesized design
-/// (checkDesign), exactly what `mphls lint --format json` prints.
+/// Why a command could not run (`inputError`: the source was rejected).
+struct Failure {
+  std::string error;
+  bool inputError = false;
+};
+
+/// A command's unrendered result, or (no value) its failure. The JSON
+/// functions and the CLI's text reports both render these.
+template <class T>
+struct Outcome {
+  std::optional<T> value;
+  Failure failure;
+};
+
+/// Full static verification report (checkDesign) of the synthesized
+/// design; lintJson is what `mphls lint --format json` prints.
+[[nodiscard]] Outcome<CheckReport> lintReport(const Request& req);
 [[nodiscard]] Result lintJson(const Request& req);
 
-/// Semantic lint report over the behavioral IR (checkSemantics). With
-/// `postPipeline` the configured pass pipeline (and, per opts.narrow, the
-/// narrowing pass) runs first, mirroring `mphls analyze --opt ...`.
+/// The behavioral IR analyze reports on: the frontend output or, with
+/// `postPipeline`, the configured pass pipeline's; narrowed when
+/// opts.narrow asks (`mphls analyze --opt ... --narrow`).
+[[nodiscard]] Outcome<Function> analyzedFunction(const Request& req,
+                                                 bool postPipeline);
+
+/// Semantic lint report (checkSemantics) over analyzedFunction.
 [[nodiscard]] Result analyzeJson(const Request& req, bool postPipeline);
 
-/// Path-level static timing analysis report plus the timing lint,
-/// exactly what `mphls sta --format json` prints for one file.
-/// `clockNs` <= 0 means "at the estimated clock".
+/// Path-level static timing analysis plus the timing lint's findings
+/// (`clockNs` <= 0: at the estimated clock); staJson is what `mphls sta
+/// --format json` prints for one file.
+struct StaReport {
+  sta::StaResult timing;
+  CheckReport lint;
+};
+[[nodiscard]] Outcome<StaReport> staReport(const Request& req, double clockNs,
+                                           int maxPaths);
 [[nodiscard]] Result staJson(const Request& req, double clockNs,
                              int maxPaths);
 
-/// Formal equivalence report (one-element array, the prove CLI
-/// convention). With `provePasses` each optimization pass application is
-/// additionally translation-validated.
+/// A seeded miscompile for the prove gate's self-test (`mphls prove
+/// --inject`; fuzz::proveInjection builds one). `ir` rewrites a copy of
+/// the optimized function, which is then proved against the original
+/// under the label `name`, with no synthesis; `design` rewrites the
+/// synthesized design before its proof. Each returns the number of sites
+/// it changed; none makes the injection inapplicable, noted as `none`.
+struct ProveInjection {
+  std::string name;
+  std::string none;
+  std::function<int(Function&)> ir;
+  std::function<int(RtlDesign&)> design;
+};
+
+/// Formal equivalence report. `applicable` is false when an injection
+/// found no site in this design.
+struct ProveReport {
+  CheckReport report;
+  bool applicable = true;
+};
+
+/// The configured pass pipeline (each pass translation-validated with
+/// `provePasses`), synthesis, the optional injection, and the proof that
+/// behavior and RTL are equivalent. proveJson renders it as a one-element
+/// array (the prove CLI convention).
+[[nodiscard]] Outcome<ProveReport> proveReport(
+    const Request& req, bool provePasses, const ProveInjection& inject = {});
 [[nodiscard]] Result proveJson(const Request& req, bool provePasses);
 
 /// Simulate the synthesized RTL on `inputs` (unset input ports default to
@@ -77,7 +127,7 @@ struct Result {
                              const std::map<std::string, std::uint64_t>& inputs);
 
 /// {"file":<name>, ...} splice of a CheckReport, shared by the lint,
-/// analyze and prove renderers (and the CLI's text-mode prove).
+/// analyze and prove renderers.
 [[nodiscard]] std::string reportJson(const std::string& key,
                                      const std::string& name,
                                      const CheckReport& rep);
@@ -88,7 +138,6 @@ struct Result {
 /// same element renderer as staJson.
 [[nodiscard]] JsonValue staJsonValue(const std::string& key,
                                      const std::string& name,
-                                     const sta::StaResult& r,
-                                     const CheckReport& rep);
+                                     const StaReport& r);
 
 }  // namespace mphls::cmd

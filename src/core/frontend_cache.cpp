@@ -81,20 +81,7 @@ std::shared_ptr<const Function> FrontendCache::get(const std::string& source,
   obs::TraceSpan span("frontend.compile", top);
   Function fn = compileBdlOrThrow(source, top);
   verifyOrThrow(fn);
-  switch (opt) {
-    case OptLevel::None:
-      break;
-    case OptLevel::Standard: {
-      auto pm = PassManager::standardPipeline();
-      pm.run(fn);
-      break;
-    }
-    case OptLevel::Aggressive: {
-      auto pm = PassManager::aggressivePipeline();
-      pm.run(fn);
-      break;
-    }
-  }
+  if (auto pm = PassManager::forLevel(opt)) pm->run(fn);
   auto shared = std::make_shared<const Function>(std::move(fn));
 
   std::lock_guard<std::mutex> lk(im.m);

@@ -69,25 +69,8 @@ SynthesisResult Synthesizer::synthesize(Function fn) {
   StageTimes st;
   {
     obs::TraceSpan span("stage.optimize", &st.optimize);
-    switch (options_.opt) {
-      case OptLevel::None:
-        break;
-      case OptLevel::Standard: {
-        auto pm = PassManager::standardPipeline();
-        pm.run(fn);
-        break;
-      }
-      case OptLevel::Aggressive: {
-        auto pm = PassManager::aggressivePipeline();
-        pm.run(fn);
-        break;
-      }
-    }
-    if (options_.narrow) {
-      PassManager pm;
-      pm.add(createNarrowWidthsPass());
-      pm.run(fn);
-    }
+    if (auto pm = PassManager::forLevel(options_.opt)) pm->run(fn);
+    if (options_.narrow) PassManager::narrowing().run(fn);
   }
   return backend(std::move(fn), st);
 }
@@ -128,8 +111,7 @@ SynthesisResult Synthesizer::backend(Function fn, StageTimes st) {
       }
       return serialSchedule(deps);
     }, options_.latencies);
-    if (options_.scheduler != SchedulerKind::ForceDirected &&
-        options_.scheduler != SchedulerKind::Serial) {
+    if (isResourceLimited(options_.scheduler)) {
       std::string msg =
           validateSchedule(fn, sched, options_.resources, options_.latencies);
       MPHLS_CHECK(msg.empty(), "invalid schedule: " << msg);
@@ -137,15 +119,12 @@ SynthesisResult Synthesizer::backend(Function fn, StageTimes st) {
   }
   if (options_.check) {
     obs::TraceSpan span("stage.check", "schedule", &st.check);
-    // Stage exit: schedule legality. Time-constrained (force-directed) and
-    // trivially-serial schedules are not produced under the resource
-    // limits, so only their dependence legality is checked.
-    const bool limited =
-        options_.scheduler != SchedulerKind::ForceDirected &&
-        options_.scheduler != SchedulerKind::Serial;
+    // Stage exit: schedule legality.
     CheckReport rep;
     checkSchedule(fn, sched,
-                  limited ? options_.resources : ResourceLimits::unlimited(),
+                  isResourceLimited(options_.scheduler)
+                      ? options_.resources
+                      : ResourceLimits::unlimited(),
                   options_.latencies, rep);
     MPHLS_CHECK(rep.clean(), "schedule legality check failed ("
                                  << rep.errorCount()

@@ -14,6 +14,7 @@
 #include "ctrl/encode.h"
 #include "ctrl/microcode.h"
 #include "estim/estimate.h"
+#include "opt/pass.h"
 #include "rtl/design.h"
 #include "sched/list_sched.h"
 #include "sched/resource.h"
@@ -32,7 +33,12 @@ enum class SchedulerKind {
 
 [[nodiscard]] std::string_view schedulerName(SchedulerKind k);
 
-enum class OptLevel { None, Standard, Aggressive };
+/// Whether `k` schedules under the resource limits. Time-constrained
+/// (force-directed) and trivially-serial schedules do not, so only their
+/// dependence legality is checked.
+[[nodiscard]] constexpr bool isResourceLimited(SchedulerKind k) {
+  return k != SchedulerKind::ForceDirected && k != SchedulerKind::Serial;
+}
 
 struct SynthesisOptions {
   OptLevel opt = OptLevel::Standard;

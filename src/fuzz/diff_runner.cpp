@@ -6,6 +6,7 @@
 
 #include "alloc/interconnect.h"
 #include "core/frontend_cache.h"
+#include "core/options.h"
 #include "check/check.h"
 #include "ctrl/fsm.h"
 #include "fuzz/bdl_gen.h"
@@ -19,24 +20,6 @@
 namespace mphls::fuzz {
 
 namespace {
-
-std::string_view regMethodName(RegAllocMethod m) {
-  switch (m) {
-    case RegAllocMethod::LeftEdge: return "leftedge";
-    case RegAllocMethod::Clique: return "clique";
-    case RegAllocMethod::Naive: return "naive";
-  }
-  return "?";
-}
-
-std::string_view optLevelName(OptLevel o) {
-  switch (o) {
-    case OptLevel::None: return "none";
-    case OptLevel::Standard: return "standard";
-    case OptLevel::Aggressive: return "aggressive";
-  }
-  return "?";
-}
 
 std::string describeMismatch(
     const std::map<std::string, std::uint64_t>& want,
@@ -59,8 +42,8 @@ std::string describeMismatch(
 std::string MatrixPoint::label() const {
   std::ostringstream oss;
   oss << "sched=" << schedulerName(sched) << " fu=" << fuAllocMethodName(fu)
-      << " reg=" << regMethodName(reg) << " enc=" << stateEncodingName(enc)
-      << " opt=" << optLevelName(opt) << " narrow=" << (narrow ? 1 : 0)
+      << " reg=" << options::token(reg) << " enc=" << stateEncodingName(enc)
+      << " opt=" << options::token(opt) << " narrow=" << (narrow ? 1 : 0)
       << " lat=" << (multicycle ? "multi" : "unit") << " fus=" << fus;
   return oss.str();
 }
@@ -166,6 +149,31 @@ bool parseInjectedBug(const std::string& name, InjectedBug& out) {
   else if (name == "bind") out = InjectedBug::SwappedBinding;
   else return false;
   return true;
+}
+
+cmd::ProveInjection proveInjection(InjectedBug bug,
+                                   const OpLatencyModel& lat) {
+  cmd::ProveInjection inj;
+  inj.none = "no eligible mutation site in this design";
+  switch (bug) {
+    case InjectedBug::None:
+      break;
+    case InjectedBug::MulToAdd:
+      // MulToAdd corrupts the IR before the backend, so the whole design —
+      // controller included — is consistently wrong; it can only be caught
+      // by proving the mutated function against the trusted one.
+      inj.name = "inject:mul-to-add";
+      inj.none = "design has no multiply to inject into";
+      inj.ir = injectMulToAdd;
+      break;
+    case InjectedBug::ScheduleShift:
+      inj.design = [lat](RtlDesign& d) { return injectScheduleShift(d, lat); };
+      break;
+    case InjectedBug::SwappedBinding:
+      inj.design = [lat](RtlDesign& d) { return injectSwappedBinding(d, lat); };
+      break;
+  }
+  return inj;
 }
 
 int injectMulToAdd(Function& fn) {
@@ -336,9 +344,7 @@ ProgramVerdict runSource(const std::string& source, std::uint64_t seed,
         FrontendCache::global().get(source, options.top, p.opt);
     if (p.narrow) {
       auto narrowed = std::make_shared<Function>(fn->clone());
-      PassManager pm;
-      pm.add(createNarrowWidthsPass());
-      pm.run(*narrowed);
+      PassManager::narrowing().run(*narrowed);
       fn = std::move(narrowed);
     }
     fronts.emplace(key, fn);

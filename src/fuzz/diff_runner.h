@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "core/commands.h"
 #include "core/synthesizer.h"
 #include "vm/sim_engine.h"
 
@@ -54,8 +55,7 @@ struct MatrixPoint {
   /// Whether the schedule is produced under the resource limits (false
   /// for the time-constrained and trivially-serial schedulers).
   [[nodiscard]] bool resourceLimited() const {
-    return sched != SchedulerKind::ForceDirected &&
-           sched != SchedulerKind::Serial;
+    return isResourceLimited(sched);
   }
 };
 
@@ -103,6 +103,10 @@ enum class InjectedBug { None, MulToAdd, ScheduleShift, SwappedBinding };
 
 /// Parse "mul" | "sched" | "bind"; returns false on anything else.
 bool parseInjectedBug(const std::string& name, InjectedBug& out);
+
+/// The prove gate's form of `bug` (no hooks for InjectedBug::None).
+[[nodiscard]] cmd::ProveInjection proveInjection(InjectedBug bug,
+                                                 const OpLatencyModel& lat);
 
 /// Rewrite every Mul op into Add; returns the number of ops rewritten.
 int injectMulToAdd(Function& fn);

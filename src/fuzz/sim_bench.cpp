@@ -9,6 +9,7 @@
 
 #include "common/bench_report.h"
 #include "core/designs.h"
+#include "core/options.h"
 #include "core/synthesizer.h"
 #include "fuzz/bdl_gen.h"
 #include "fuzz/diff_runner.h"
@@ -43,13 +44,6 @@ double geomean(const std::vector<double>& xs) {
   double logSum = 0;
   for (double x : xs) logSum += std::log(x);
   return std::exp(logSum / (double)xs.size());
-}
-
-SynthesisOptions rtlPoint() {
-  SynthesisOptions so;
-  so.scheduler = SchedulerKind::List;
-  so.resources = ResourceLimits::universalSet(2);
-  return so;
 }
 
 }  // namespace
@@ -91,7 +85,7 @@ int runSimBenchSuite(const SimBenchOptions& options) {
 
     // RTL: cycles/sec (cycles-per-run is fixed for fixed inputs, so the
     // rate is just run throughput scaled by the design's cycle count).
-    Synthesizer synth(rtlPoint());
+    Synthesizer synth(options::defaults());
     SynthesisResult r = synth.synthesizeSource(d.source);
     RtlSimulator rtlInterp(r.design);
     const long cyclesPerRun = rtlInterp.run(d.sampleInputs).cycles;

@@ -61,6 +61,18 @@ std::vector<PassStats> PassManager::run(Function& fn, int maxRounds) {
   return stats;
 }
 
+std::optional<PassManager> PassManager::forLevel(OptLevel level) {
+  if (level == OptLevel::None) return std::nullopt;
+  return level == OptLevel::Aggressive ? aggressivePipeline()
+                                       : standardPipeline();
+}
+
+PassManager PassManager::narrowing() {
+  PassManager pm;
+  pm.add(createNarrowWidthsPass());
+  return pm;
+}
+
 PassManager PassManager::standardPipeline() {
   PassManager pm;
   pm.add(createForwardingPass())

@@ -16,6 +16,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -51,6 +52,9 @@ struct PassStats {
   int iterations = 0;
 };
 
+/// How much high-level transformation runs before scheduling.
+enum class OptLevel { None, Standard, Aggressive };
+
 class PassManager {
  public:
   /// Called after each pass application with the pass name, the function
@@ -78,6 +82,13 @@ class PassManager {
 
   /// Standard pipeline plus loop unrolling and tree-height reduction.
   [[nodiscard]] static PassManager aggressivePipeline(int maxTrip = 64);
+
+  /// The pipeline of `level`: nullopt for OptLevel::None, where no pass
+  /// runs (and the IR is not even compacted).
+  [[nodiscard]] static std::optional<PassManager> forLevel(OptLevel level);
+
+  /// The analysis-driven width-narrowing pass on its own.
+  [[nodiscard]] static PassManager narrowing();
 
  private:
   std::vector<std::unique_ptr<Pass>> passes_;

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <string>
 
+#include "core/options.h"
 #include "core/synthesizer.h"
 #include "serve/http.h"
 
@@ -34,7 +35,9 @@ namespace mphls::serve {
 
 struct ServiceOptions {
   /// Base option vector; request "options" members override per request.
-  SynthesisOptions defaults;
+  /// The CLI's baseline, so a request with no "options" produces the
+  /// CLI's exact bytes.
+  SynthesisOptions defaults = options::defaults();
 };
 
 struct ServiceResponse {

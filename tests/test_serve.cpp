@@ -287,22 +287,44 @@ TEST(ServeService, UnknownRouteIs404WrongMethodIs405) {
 TEST(ServeService, MalformedBodiesAre400) {
   const serve::Service svc = makeService();
   // Broken JSON, non-object, missing source, unknown builtin, bad option
-  // key, bad option value, non-object options, bad /sim inputs.
-  const char* bad[] = {
-      "{not json",
-      "[1,2]",
-      "{}",
-      "{\"design\": \"no-such-design\"}",
-      "{\"design\": \"sqrt\", \"options\": {\"optlevel\": \"none\"}}",
-      "{\"design\": \"sqrt\", \"options\": {\"scheduler\": \"magic\"}}",
-      "{\"design\": \"sqrt\", \"options\": [1]}",
-      "{\"design\": \"sqrt\", \"inputs\": {\"x\": \"ten\"}}",
+  // key, bad option value, non-object options, bad /sim inputs, and
+  // numbers with no int (or uint64_t) value: out of range or fractional.
+  // `error`, when set, must appear in the body.
+  struct Case {
+    const char* target;
+    const char* body;
+    const char* error;
   };
-  for (std::size_t i = 0; i < std::size(bad); ++i) {
-    const char* target = i == 7 ? "/sim" : "/synth";
-    const serve::ServiceResponse r = svc.handle(makePost(target, bad[i]), 1);
-    EXPECT_EQ(r.status, 400) << bad[i] << " -> " << r.body;
+  const Case bad[] = {
+      {"/synth", "{not json", nullptr},
+      {"/synth", "[1,2]", nullptr},
+      {"/synth", "{}", nullptr},
+      {"/synth", "{\"design\": \"no-such-design\"}", nullptr},
+      {"/synth",
+       "{\"design\": \"sqrt\", \"options\": {\"optlevel\": \"none\"}}",
+       nullptr},
+      {"/synth",
+       "{\"design\": \"sqrt\", \"options\": {\"scheduler\": \"magic\"}}",
+       nullptr},
+      {"/synth", "{\"design\": \"sqrt\", \"options\": [1]}", nullptr},
+      {"/sim", "{\"design\": \"sqrt\", \"inputs\": {\"x\": \"ten\"}}", nullptr},
+      {"/synth", "{\"design\": \"sqrt\", \"options\": {\"fus\": 1e300}}",
+       "bad fus"},
+      {"/synth", "{\"design\": \"sqrt\", \"options\": {\"fus\": 2.7}}",
+       "bad fus"},
+      {"/synth",
+       "{\"design\": \"sqrt\", \"options\": {\"time_constraint\": 1e300}}",
+       "bad time_constraint"},
+      {"/sta", "{\"design\": \"sqrt\", \"paths\": 1e300}", nullptr},
+      {"/sim", "{\"design\": \"sqrt\", \"inputs\": {\"x\": 1e30}}", nullptr},
+  };
+  for (const Case& c : bad) {
+    const serve::ServiceResponse r = svc.handle(makePost(c.target, c.body), 1);
+    EXPECT_EQ(r.status, 400) << c.body << " -> " << r.body;
     EXPECT_TRUE(json::valid(r.body)) << r.body;
+    if (c.error) {
+      EXPECT_NE(r.body.find(c.error), std::string::npos) << r.body;
+    }
   }
 }
 
