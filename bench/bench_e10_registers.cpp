@@ -10,6 +10,7 @@
 #include "alloc/lifetime.h"
 #include "alloc/reg_alloc.h"
 #include "bench/bench_util.h"
+#include "check/check_binding.h"
 #include "core/designs.h"
 #include "lang/frontend.h"
 #include "sched/list_sched.h"
@@ -35,9 +36,10 @@ int main() {
     auto le = allocateRegisters(lt, RegAllocMethod::LeftEdge);
     auto cq = allocateRegisters(lt, RegAllocMethod::Clique);
     auto na = allocateRegisters(lt, RegAllocMethod::Naive);
-    allValid = allValid && validateRegAssignment(lt, le).empty() &&
-               validateRegAssignment(lt, cq).empty() &&
-               validateRegAssignment(lt, na).empty();
+    CheckReport rep;
+    for (const RegAssignment* regs : {&le, &cq, &na})
+      checkRegisters(lt, *regs, rep);
+    allValid = allValid && rep.clean();
     std::printf("%-10s %10zu %10d %10d %10d %12d\n", d.name,
                 lt.items.size(), lt.maxOverlap(), le.numRegs, cq.numRegs,
                 na.numRegs);

@@ -70,6 +70,21 @@ if ./build/src/cli/mphls fuzz --seeds 10 --matrix quick --inject mul \
   exit 1
 fi
 
+# ...and so must an injected schedule shift, which changes the design after
+# synthesis: the runner's one re-check of a changed design has to report
+# it as check findings (exit 1, check_failures > 0).
+if ./build/src/cli/mphls fuzz --seeds 5 --matrix quick --inject sched \
+    --no-save --quiet --out build/fuzz-inject-sched.json > /dev/null; then
+  echo "fuzz: injected schedule shift was NOT detected" >&2
+  exit 1
+fi
+python3 - build/fuzz-inject-sched.json << 'EOF'
+import json, sys
+
+report = json.load(open(sys.argv[1]))
+assert report["check_failures"] > 0, "schedule shift produced no check finding"
+EOF
+
 # --- Bytecode-VM oracle gate: every one of 200 seeds runs on both the VM
 # and the tree-walking interpreters (100% cross-check sampling is implied
 # by --engine both) and must agree bit-for-bit — a single divergence is a

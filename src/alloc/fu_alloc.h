@@ -50,11 +50,4 @@ enum class FuAllocMethod { GreedyLocal, GreedyGlobal, InterconnectBlind, Clique 
                                  const LifetimeInfo& lifetimes,
                                  const RegAssignment& regs, ValueId v);
 
-/// Validate a binding: every slot-occupying non-move op has a unit that
-/// supports its kind, and no unit runs two ops in the same control step.
-[[nodiscard]] std::string validateFuBinding(
-    const Function& fn, const Schedule& sched, const FuBinding& binding,
-    const HwLibrary& lib,
-    const OpLatencyModel& latencies = OpLatencyModel::unit());
-
 }  // namespace mphls

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <sstream>
 
 #include "ir/deps.h"
 
@@ -229,45 +228,6 @@ InterconnectResult buildInterconnect(const Function& fn, const Schedule& sched,
     ic.busArea += lib.busArea((int)srcs.size(), width);
   }
   return ic;
-}
-
-std::string validateInterconnect(const InterconnectResult& ic) {
-  std::ostringstream err;
-  for (std::size_t i = 0; i < ic.transfers.size(); ++i) {
-    const Transfer& t = ic.transfers[i];
-    const MuxSpec* mux = nullptr;
-    switch (t.destKind) {
-      case Transfer::DestKind::FuPort:
-        mux = &ic.fuInput[(std::size_t)t.destId][(std::size_t)t.destPort];
-        break;
-      case Transfer::DestKind::Reg:
-        mux = &ic.regInput[(std::size_t)t.destId];
-        break;
-      case Transfer::DestKind::OutPort:
-        // Port ids index outPortInput directly.
-        mux = &ic.outPortInput[(std::size_t)t.destId];
-        break;
-    }
-    if (!mux || mux->indexOf(t.src) < 0) {
-      err << "transfer " << i << " source " << t.src.str()
-          << " missing from destination mux";
-      return err.str();
-    }
-    if (ic.busOfTransfer[i] < 0 || ic.busOfTransfer[i] >= ic.numBuses) {
-      err << "transfer " << i << " has no bus";
-      return err.str();
-    }
-    for (std::size_t j = i + 1; j < ic.transfers.size(); ++j) {
-      if (ic.busOfTransfer[i] == ic.busOfTransfer[j] &&
-          ic.transfers[j].step == t.step &&
-          !(ic.transfers[j].src == t.src)) {
-        err << "bus " << ic.busOfTransfer[i]
-            << " carries two values at step " << t.step;
-        return err.str();
-      }
-    }
-  }
-  return {};
 }
 
 }  // namespace mphls

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <sstream>
 
 #include "alloc/clique.h"
 
@@ -101,34 +100,6 @@ RegAssignment allocateRegisters(const LifetimeInfo& lt,
           out.regWidth[static_cast<std::size_t>(r)], lt.items[i].width);
   }
   return out;
-}
-
-std::string validateRegAssignment(const LifetimeInfo& lt,
-                                  const RegAssignment& regs) {
-  std::ostringstream err;
-  if (regs.regOfItem.size() != lt.items.size()) return "item count mismatch";
-  for (std::size_t i = 0; i < lt.items.size(); ++i) {
-    if (lt.items[i].live.empty()) continue;
-    if (regs.regOfItem[i] < 0 || regs.regOfItem[i] >= regs.numRegs) {
-      err << "item " << i << " has no register";
-      return err.str();
-    }
-    if (regs.regWidth[static_cast<std::size_t>(regs.regOfItem[i])] <
-        lt.items[i].width) {
-      err << "register too narrow for item " << i;
-      return err.str();
-    }
-    for (std::size_t j = i + 1; j < lt.items.size(); ++j) {
-      if (regs.regOfItem[i] == regs.regOfItem[j] &&
-          lt.items[i].live.overlaps(lt.items[j].live)) {
-        err << "items " << i << " (" << lt.items[i].name << ") and " << j
-            << " (" << lt.items[j].name << ") share register "
-            << regs.regOfItem[i] << " with overlapping lifetimes";
-        return err.str();
-      }
-    }
-  }
-  return {};
 }
 
 }  // namespace mphls

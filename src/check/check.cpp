@@ -17,7 +17,9 @@ CheckReport checkDesign(const RtlDesign& design, const CheckOptions& options) {
   if (options.controller)
     checkController(design.fn, design.sched, design.ctrl, design.ic,
                     design.binding, options.latencies, report);
-  if (options.timing) checkTiming(design, options.timingOptions, report);
+  sta::StaResult sta;
+  if (options.timing && runTimingAnalysis(design, {}, sta, report))
+    checkTiming(design, sta, {}, report);
   if (options.netlist && options.latencies.isUnit())
     lintVerilog(emitVerilog(design), report);
   return report;

@@ -1,7 +1,8 @@
 // Whole-flow static verification: run every stage-boundary analyzer over a
-// finished RTL design and collect one report. This is what `mphls lint`
-// executes, and what the test suite uses to assert that known-good designs
-// are check-clean while hand-corrupted ones fail with precise check ids.
+// finished RTL design and collect one report. The test suite uses it to
+// assert that known-good designs are check-clean while hand-corrupted ones
+// fail with precise check ids; the fuzz gate runs the netlist lint through
+// it, and the stage analyzers too on a design changed after synthesis.
 #pragma once
 
 #include "check/check_binding.h"
@@ -30,10 +31,10 @@ struct CheckOptions {
   /// Emit Verilog and lint the netlist. Skipped automatically for
   /// multicycle latency models (the emitter supports unit latency only).
   bool netlist = true;
-  /// Run the timing-closure lint (check_timing.h): negative slack at the
-  /// declared clock, STA-vs-estimator cross-validation, chain overruns.
+  /// Run STA at the estimated clock and its timing-closure lint
+  /// (check_timing.h): STA-vs-estimator cross-validation, negative slack,
+  /// chain overruns.
   bool timing = true;
-  TimingLintOptions timingOptions;
 };
 
 /// Run all enabled analyzers; findings accumulate in one report.

@@ -25,6 +25,8 @@ std::string opWhere(const Function& fn, const Block& blk, std::size_t i) {
   return oss.str();
 }
 
+}  // namespace
+
 void checkRegisters(const LifetimeInfo& lt, const RegAssignment& regs,
                     CheckReport& report) {
   if (regs.regOfItem.size() != lt.items.size()) {
@@ -197,9 +199,29 @@ void checkMuxes(const InterconnectResult& ic, CheckReport& report) {
       report.error("bind.mux-conflict", destName(t), oss.str());
     }
   }
-}
 
-}  // namespace
+  // Bus-based alternative: every transfer rides an existing bus, and a bus
+  // carries one value per control step.
+  std::map<std::pair<int, int>, const Transfer*> busAt;
+  for (std::size_t i = 0; i < ic.transfers.size(); ++i) {
+    const Transfer& t = ic.transfers[i];
+    const int bus = i < ic.busOfTransfer.size() ? ic.busOfTransfer[i] : -1;
+    if (bus < 0 || bus >= ic.numBuses) {
+      std::ostringstream oss;
+      oss << "transfer " << i << " (source " << t.src.str() << ", step "
+          << t.step << ") is on bus " << bus << " of " << ic.numBuses;
+      report.error("bind.bus-range", destName(t), oss.str());
+      continue;
+    }
+    auto [it, fresh] = busAt.try_emplace({bus, t.step}, &t);
+    if (!fresh && !(it->second->src == t.src)) {
+      std::ostringstream oss;
+      oss << "bus " << bus << " carries both " << it->second->src.str()
+          << " and " << t.src.str() << " at step " << t.step;
+      report.error("bind.bus-conflict", destName(t), oss.str());
+    }
+  }
+}
 
 void checkBinding(const Function& fn, const Schedule& sched,
                   const LifetimeInfo& lifetimes, const RegAssignment& regs,

@@ -7,7 +7,9 @@
 // component can execute it at its width, and no unit executes two operations
 // in overlapping control steps; and the interconnect's multiplexers are
 // exhaustive (every required transfer has a leg at its destination mux) and
-// non-conflicting (no mux is asked for two different sources in one step).
+// non-conflicting (no mux is asked for two different sources in one step),
+// and the bus-based alternative carries every transfer on an existing bus
+// with at most one value per bus per step.
 #pragma once
 
 #include "alloc/interconnect.h"
@@ -34,6 +36,22 @@ namespace mphls {
 //   bind.fu-conflict      unit runs two ops in overlapping control steps
 //   bind.mux-missing      transfer source missing from its destination mux
 //   bind.mux-conflict     mux needs two different sources in the same step
+//   bind.bus-range        transfer assigned to no / an out-of-range bus
+//   bind.bus-conflict     bus carries two different values in one step
+
+/// Registers: coverage, range, width and lifetime overlap (bind.reg-*).
+void checkRegisters(const LifetimeInfo& lifetimes, const RegAssignment& regs,
+                    CheckReport& report);
+
+/// Functional units: coverage, support, width and overlap (bind.fu-*).
+void checkUnits(const Function& fn, const Schedule& sched,
+                const FuBinding& binding, const HwLibrary& lib,
+                const OpLatencyModel& latencies, CheckReport& report);
+
+/// Multiplexers and buses (bind.mux-*, bind.bus-*).
+void checkMuxes(const InterconnectResult& ic, CheckReport& report);
+
+/// All three.
 void checkBinding(const Function& fn, const Schedule& sched,
                   const LifetimeInfo& lifetimes, const RegAssignment& regs,
                   const FuBinding& binding, const InterconnectResult& ic,

@@ -92,6 +92,42 @@ void diffActions(const Controller& ctrl, std::size_t stateIdx,
   }
 }
 
+/// Every unit, register, port and mux leg a state drives must exist.
+void checkActionRanges(const Controller& ctrl, std::size_t s,
+                       const InterconnectResult& ic, const FuBinding& binding,
+                       CheckReport& report) {
+  const CtrlState& st = ctrl.states[s];
+  auto bad = [&](const auto&... parts) {
+    std::ostringstream oss;
+    oss << "state drives";
+    (oss << ... << parts);
+    oss << ", which does not exist";
+    report.error("ctrl.action-range", stateWhere(ctrl, s), oss.str());
+  };
+  auto legOk = [](int sel, const MuxSpec& m) {
+    return sel >= 0 && sel < m.legs();
+  };
+  for (const FuAction& a : st.fuActions) {
+    if (a.fu < 0 || a.fu >= binding.numFus() ||
+        (std::size_t)a.fu >= ic.fuInput.size()) {
+      bad(" fu", a.fu);
+      continue;
+    }
+    for (int p = 0; p < 3; ++p)
+      if (a.muxSel[p] >= 0 &&
+          !legOk(a.muxSel[p], ic.fuInput[(std::size_t)a.fu][(std::size_t)p]))
+        bad(" fu", a.fu, " port ", p, " leg ", a.muxSel[p]);
+  }
+  for (const RegAction& a : st.regActions)
+    if (a.reg < 0 || (std::size_t)a.reg >= ic.regInput.size() ||
+        !legOk(a.muxSel, ic.regInput[(std::size_t)a.reg]))
+      bad(" r", a.reg, " leg ", a.muxSel);
+  for (const PortAction& a : st.portActions)
+    if (a.port < 0 || (std::size_t)a.port >= ic.outPortInput.size() ||
+        !legOk(a.muxSel, ic.outPortInput[(std::size_t)a.port]))
+      bad(" port ", a.port, " leg ", a.muxSel);
+}
+
 }  // namespace
 
 void checkController(const Function& fn, const Schedule& sched,
@@ -166,19 +202,12 @@ void checkController(const Function& fn, const Schedule& sched,
                          stateWhere(ctrl, sid.index()),
                          "branch targets do not match the terminator");
           }
-          if (st.conditional) {
-            if (st.cond.finalWidth() != 1) {
-              std::ostringstream oss;
-              oss << "branch condition is " << st.cond.finalWidth()
-                  << " bits wide";
-              report.error("ctrl.cond-width", stateWhere(ctrl, sid.index()),
-                           oss.str());
-            }
-            if (st.cond.kind == Source::Kind::Fu &&
-                (st.cond.id < 0 || st.cond.id >= binding.numFus())) {
-              report.error("ctrl.cond-source", stateWhere(ctrl, sid.index()),
-                           "branch condition names a nonexistent unit");
-            }
+          if (st.conditional && st.cond.finalWidth() != 1) {
+            std::ostringstream oss;
+            oss << "branch condition is " << st.cond.finalWidth()
+                << " bits wide";
+            report.error("ctrl.cond-width", stateWhere(ctrl, sid.index()),
+                         oss.str());
           }
           break;
         }
@@ -186,7 +215,8 @@ void checkController(const Function& fn, const Schedule& sched,
     }
   }
 
-  // Successor ranges for every state (including unmapped ones).
+  // Successor ranges, condition units and action operands for every state
+  // (including unmapped ones).
   for (std::size_t s = 0; s < n; ++s) {
     const CtrlState& st = ctrl.states[s];
     if (st.halt) continue;
@@ -194,10 +224,15 @@ void checkController(const Function& fn, const Schedule& sched,
       if (!inRange(ctrl, st.nextTaken) || !inRange(ctrl, st.nextNot))
         report.error("ctrl.transition-range", stateWhere(ctrl, s),
                      "conditional successor out of range");
+      if (st.cond.kind == Source::Kind::Fu &&
+          (st.cond.id < 0 || st.cond.id >= binding.numFus()))
+        report.error("ctrl.cond-source", stateWhere(ctrl, s),
+                     "branch condition names a nonexistent unit");
     } else if (!inRange(ctrl, st.next)) {
       report.error("ctrl.transition-range", stateWhere(ctrl, s),
                    "successor out of range");
     }
+    checkActionRanges(ctrl, s, ic, binding, report);
   }
 
   // --- reachability ------------------------------------------------------

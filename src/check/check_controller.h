@@ -29,6 +29,8 @@ namespace mphls {
 //   ctrl.dead-state          state cannot reach the halt state
 //   ctrl.action-missing      required datapath action not asserted
 //   ctrl.action-extra        asserted action the binding does not require
+//   ctrl.action-range        action drives a nonexistent unit, register,
+//                            port or mux leg
 void checkController(const Function& fn, const Schedule& sched,
                      const Controller& ctrl, const InterconnectResult& ic,
                      const FuBinding& binding,

@@ -7,8 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "sta/sta.h"
-
 namespace mphls {
 
 namespace {
@@ -65,20 +63,20 @@ double schedulerFuAssumption(const RtlDesign& d, const CtrlState& st) {
 
 }  // namespace
 
-void checkTiming(const RtlDesign& design, const TimingLintOptions& options,
-                 CheckReport& report) {
-  sta::StaResult r;
+bool runTimingAnalysis(const RtlDesign& design, const sta::StaOptions& options,
+                       sta::StaResult& out, CheckReport& report) {
   try {
-    sta::StaOptions so;
-    so.clockNs = options.clockNs;
-    so.maxPaths = options.maxReported;
-    r = sta::runSta(design, so);
+    out = sta::runSta(design, options);
   } catch (const std::exception& e) {
     report.error("timing.analysis-error", "design",
                  std::string("static timing analysis failed: ") + e.what());
-    return;
+    return false;
   }
+  return true;
+}
 
+void checkTiming(const RtlDesign& design, const sta::StaResult& r,
+                 const TimingLintOptions& options, CheckReport& report) {
   // The cross-validation payoff: estimateTiming (recursive, per-action)
   // and the STA engine (explicit graph, longest path) implement the same
   // timing model independently; a gap beyond tolerance means one is wrong.

@@ -22,13 +22,11 @@
 
 #include "check/report.h"
 #include "rtl/design.h"
+#include "sta/sta.h"
 
 namespace mphls {
 
 struct TimingLintOptions {
-  /// Declared clock period; 0 uses the design's estimated cycle time
-  /// (negative slack then only appears when the models diverge).
-  double clockNs = 0;
   /// Absolute tolerance for slack and for STA-vs-estimator agreement.
   double tolerance = 1e-6;
   /// Warn when a state's wiring overhead beyond the scheduler's per-step
@@ -38,7 +36,15 @@ struct TimingLintOptions {
   int maxReported = 5;
 };
 
-void checkTiming(const RtlDesign& design, const TimingLintOptions& options,
-                 CheckReport& report);
+/// Run sta::runSta on `design` into `out`. The analysis failing (a corrupt
+/// design) is reported as timing.analysis-error and returns false, so the
+/// analyzer contract — report, never throw — holds for timing too.
+bool runTimingAnalysis(const RtlDesign& design, const sta::StaOptions& options,
+                       sta::StaResult& out, CheckReport& report);
+
+/// Lint `sta`, the result of runSta on `design` (at whatever clock it was
+/// run with).
+void checkTiming(const RtlDesign& design, const sta::StaResult& sta,
+                 const TimingLintOptions& options, CheckReport& report);
 
 }  // namespace mphls

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 #include <tuple>
+#include <utility>
 
 #include "obs/trace.h"
 
@@ -52,11 +53,35 @@ std::size_t CheckReport::countOf(std::string_view id) const {
   return n;
 }
 
-std::string CheckReport::firstError() const {
+const CheckDiag* CheckReport::firstErrorDiag() const {
   for (const auto& d : diags_)
-    if (d.severity == CheckSeverity::Error) return d.str();
-  return {};
+    if (d.severity == CheckSeverity::Error) return &d;
+  return nullptr;
 }
+
+std::string CheckReport::firstError() const {
+  const CheckDiag* d = firstErrorDiag();
+  return d ? d->str() : std::string();
+}
+
+std::string_view CheckReport::firstErrorId() const {
+  const CheckDiag* d = firstErrorDiag();
+  return d ? std::string_view(d->id) : std::string_view();
+}
+
+namespace {
+
+std::string failureText(const std::string& stage, const CheckReport& rep) {
+  std::ostringstream oss;
+  oss << stage << " check failed (" << rep.errorCount()
+      << " finding(s)): " << rep.firstError();
+  return oss.str();
+}
+
+}  // namespace
+
+CheckFailure::CheckFailure(const std::string& stage, CheckReport report)
+    : InternalError(failureText(stage, report)), report_(std::move(report)) {}
 
 std::vector<CheckDiag> CheckReport::sorted() const {
   std::vector<CheckDiag> out = diags_;

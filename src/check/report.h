@@ -14,6 +14,8 @@
 #include <string_view>
 #include <vector>
 
+#include "common/diag.h"
+
 namespace mphls {
 
 enum class CheckSeverity { Note, Warning, Error };
@@ -79,6 +81,8 @@ class CheckReport {
   /// to build a throwable message. First in *insertion* order, so a
   /// translation-validation run pinpoints the first guilty pass.
   [[nodiscard]] std::string firstError() const;
+  /// Check id of that same finding ("" when clean).
+  [[nodiscard]] std::string_view firstErrorId() const;
 
   /// Findings in deterministic presentation order — sorted by descending
   /// severity, then id, then where, then message, with exact duplicates
@@ -95,7 +99,22 @@ class CheckReport {
   [[nodiscard]] std::string renderJson() const;
 
  private:
+  [[nodiscard]] const CheckDiag* firstErrorDiag() const;
+
   std::vector<CheckDiag> diags_;
+};
+
+/// Thrown by a synthesis stage exit whose analyzers reported an error.
+/// what() reads "<stage> check failed (N finding(s)): <first error>"; the
+/// report (warnings included) travels with it, so callers classify the
+/// failure by check id rather than by message text.
+class CheckFailure : public InternalError {
+ public:
+  CheckFailure(const std::string& stage, CheckReport report);
+  [[nodiscard]] const CheckReport& report() const { return report_; }
+
+ private:
+  CheckReport report_;
 };
 
 }  // namespace mphls

@@ -174,12 +174,8 @@ std::vector<Flag> DesignArgs::flags() {
     // An explicit --opt (even "standard") makes analyze run post-pipeline.
     f.push_back({o.flag, metavar(o), [this, &o](std::string_view v) {
                    optExplicit |= o.flag == "--opt";
-                   return options::applyToken(o, v, true, opts);
+                   return options::applyToken(o, v, opts);
                  }});
-    if (!o.noFlag.empty())
-      f.push_back({o.noFlag, "", [this, &o](std::string_view v) {
-                     return options::applyToken(o, v, false, opts);
-                   }});
   }
   std::vector<Flag> rest = {
       text("--verilog", "FILE", verilogOut),

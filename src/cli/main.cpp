@@ -57,8 +57,8 @@
 // The `fuzz` subcommand runs the differential co-simulation fuzzer
 // (src/fuzz/): deterministic random BDL programs are synthesized across a
 // scheduler × allocator × encoding × narrow matrix, every point is gated
-// through checkDesign, and the RTL is co-simulated against the behavioral
-// interpreter. Failures are saved (raw + delta-debug-minimized with
+// through the stage-exit checks, the STA oracle and the netlist lint, and
+// the RTL is co-simulated against the behavioral interpreter. Failures are saved (raw + delta-debug-minimized with
 // --reduce) under the corpus directory; --replay DIR re-runs saved corpus
 // entries as a regression gate. Exits 1 on any failure.
 //
@@ -318,7 +318,7 @@ int runProfile(const DesignArgs& a, const SynthesisResult& result) {
   }
 
   // Timing closure at the estimated clock (DESIGN.md §13).
-  const sta::StaResult staRes = sta::runSta(d);
+  const sta::StaResult& staRes = result.sta;
   std::printf("\n%-20s %12s\n", "timing", "value");
   std::printf("  %-18s %12.3f\n", "clock (estimated)", staRes.clockNs);
   std::printf("  %-18s %12.3f\n", "cycle time", staRes.cycleTime);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <utility>
 
 #include "check/check.h"
 #include "common/bench_report.h"
@@ -9,6 +10,7 @@
 #include "core/frontend_cache.h"
 #include "obs/trace.h"
 #include "opt/pass.h"
+#include "rtl/verilog.h"
 #include "sec/passes.h"
 #include "sec/prove.h"
 #include "sta/sta.h"
@@ -47,19 +49,24 @@ std::optional<Function> compileCached(const Request& req, OptLevel opt,
   return fn;
 }
 
-/// Compile through the cache and run the backend with `so` (its pipeline
-/// and narrowing come from req.opts, applied by the cache). A synthesis
-/// failure's message is prefixed with `prefix`.
+/// req.opts for the backend alone: the cache has applied its pipeline and
+/// narrowing.
+Synthesizer backendFor(const Request& req) {
+  SynthesisOptions so = req.opts;
+  so.opt = OptLevel::None;
+  so.narrow = false;
+  return Synthesizer(so);
+}
+
+/// Compile through the cache and run the backend. A synthesis failure's
+/// message is prefixed with `prefix`.
 std::optional<SynthesisResult> synthesized(const Request& req,
-                                           SynthesisOptions so,
                                            const std::string& prefix,
                                            Failure& f) {
   auto fn = compileCached(req, req.opts.opt, req.opts.narrow, f);
   if (!fn) return std::nullopt;
-  so.opt = OptLevel::None;  // pipeline already applied by the cache
-  so.narrow = false;
   try {
-    return Synthesizer(so).synthesizeOptimized(*fn);
+    return backendFor(req).synthesizeOptimized(*fn);
   } catch (const InternalError& e) {
     f = {prefix + e.what(), false};
     return std::nullopt;
@@ -80,7 +87,7 @@ std::string reportJson(const std::string& key, const std::string& name,
 
 Result synthJson(const Request& req) {
   Failure f;
-  const auto res = synthesized(req, req.opts, "", f);
+  const auto res = synthesized(req, "", f);
   if (!res) return errorResult(req.name, f);
   const SynthesisResult& r = *res;
   const RtlDesign& d = r.design;
@@ -109,20 +116,28 @@ Result synthJson(const Request& req) {
 }
 
 Outcome<CheckReport> lintReport(const Request& req) {
-  // Lint collects every finding in one pass: the stage-exit throwing
-  // checks are disabled and checkDesign runs on the finished design.
+  // Every finding in one report: the semantic lints, the stage exits'
+  // findings (warnings included; a failing stage's report in place of a
+  // finished design) and the netlist lint.
   Outcome<CheckReport> out;
-  SynthesisOptions so = req.opts;
-  so.check = false;
-  const auto result =
-      synthesized(req, so, "synthesis failed before checking: ", out.failure);
-  if (!result) return out;
-  CheckOptions copts;
-  copts.resources = isResourceLimited(req.opts.scheduler)
-                        ? req.opts.resources
-                        : ResourceLimits::unlimited();
-  copts.latencies = req.opts.latencies;
-  out.value = checkDesign(result->design, copts);
+  const auto fn = compileCached(req, req.opts.opt, req.opts.narrow,
+                                out.failure);
+  if (!fn) return out;
+  CheckReport rep;
+  checkSemantics(*fn, rep);
+  try {
+    const SynthesisResult r = backendFor(req).synthesizeOptimized(*fn);
+    rep.merge(r.checks);
+    if (req.opts.latencies.isUnit()) lintVerilog(emitVerilog(r.design), rep);
+  } catch (const CheckFailure& e) {
+    rep.merge(e.report());
+  } catch (const InternalError& e) {
+    out.failure = {std::string("synthesis failed before checking: ") +
+                       e.what(),
+                   false};
+    return out;
+  }
+  out.value = std::move(rep);
   return out;
 }
 
@@ -169,23 +184,22 @@ JsonValue staJsonValue(const std::string& key, const std::string& name,
 
 Outcome<StaReport> staReport(const Request& req, double clockNs,
                              int maxPaths) {
-  // Like lint: stage-exit throwing checks off so the timing report below
-  // collects every finding instead of dying mid-pipeline.
   Outcome<StaReport> out;
-  SynthesisOptions so = req.opts;
-  so.check = false;
-  const auto result = synthesized(
-      req, so, "synthesis failed before timing analysis: ", out.failure);
+  auto result = synthesized(
+      req, "synthesis failed before timing analysis: ", out.failure);
   if (!result) return out;
+  // The timing stage exit ran STA at the estimated clock with the default
+  // path count; only another clock or count needs a run of its own. The
+  // lint reports at least one negative-slack path even under --paths 0.
   StaReport r;
-  sta::StaOptions sopt;
-  sopt.clockNs = clockNs;
-  sopt.maxPaths = maxPaths;
-  r.timing = sta::runSta(result->design, sopt);
+  if (clockNs <= 0 && maxPaths == sta::StaOptions{}.maxPaths)
+    r.timing = std::move(result->sta);
+  else
+    r.timing = sta::runSta(result->design, {clockNs, std::max(maxPaths, 1)});
   TimingLintOptions topt;
-  topt.clockNs = clockNs;
   topt.maxReported = std::max(maxPaths, 1);
-  checkTiming(result->design, topt, r.lint);
+  checkTiming(result->design, r.timing, topt, r.lint);
+  if (maxPaths == 0) r.timing.paths.clear();
   out.value = std::move(r);
   return out;
 }
@@ -258,7 +272,7 @@ Result proveJson(const Request& req, bool provePasses) {
 Result simJson(const Request& req,
                const std::map<std::string, std::uint64_t>& inputs) {
   Failure f;
-  const auto result = synthesized(req, req.opts, "", f);
+  const auto result = synthesized(req, "", f);
   if (!result) return errorResult(req.name, f);
   const RtlDesign& d = result->design;
   std::map<std::string, std::uint64_t> in = inputs;

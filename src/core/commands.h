@@ -67,8 +67,9 @@ struct Outcome {
   Failure failure;
 };
 
-/// Full static verification report (checkDesign) of the synthesized
-/// design; lintJson is what `mphls lint --format json` prints.
+/// Full static verification report: the semantic lints, the synthesis
+/// stage exits' findings and the netlist lint; lintJson is what `mphls
+/// lint --format json` prints.
 [[nodiscard]] Outcome<CheckReport> lintReport(const Request& req);
 [[nodiscard]] Result lintJson(const Request& req);
 
@@ -82,8 +83,9 @@ struct Outcome {
 [[nodiscard]] Result analyzeJson(const Request& req, bool postPipeline);
 
 /// Path-level static timing analysis plus the timing lint's findings
-/// (`clockNs` <= 0: at the estimated clock); staJson is what `mphls sta
-/// --format json` prints for one file.
+/// (`clockNs` <= 0: at the estimated clock, where the synthesis timing
+/// exit's result is reused); staJson is what `mphls sta --format json`
+/// prints for one file.
 struct StaReport {
   sta::StaResult timing;
   CheckReport lint;

@@ -38,38 +38,36 @@ using O = SynthesisOptions;
 // `jobs` and `prove` have no JSON key: the daemon owns its worker pool,
 // and a proof is its own endpoint.
 constexpr Option kTable[] = {
-    {"scheduler", "--scheduler", "", "scheduler", Kind::Enum, kSchedulers, 0,
+    {"scheduler", "--scheduler", "scheduler", Kind::Enum, kSchedulers, 0,
      (int)SchedulerKind::List,
      [](O& o, int v) { o.scheduler = (SchedulerKind)v; }},
-    {"fus", "--fus", "", "fus", Kind::Int, {}, 1, 2,
+    {"fus", "--fus", "fus", Kind::Int, {}, 1, 2,
      [](O& o, int v) { o.resources = ResourceLimits::universalSet(v); }},
-    {"priority", "--priority", "", "priority", Kind::Enum, kPriorities, 0,
+    {"priority", "--priority", "priority", Kind::Enum, kPriorities, 0,
      (int)ListPriority::PathLength,
      [](O& o, int v) { o.listPriority = (ListPriority)v; }},
-    {"opt", "--opt", "", "opt level", Kind::Enum, kOptLevels, 0,
+    {"opt", "--opt", "opt level", Kind::Enum, kOptLevels, 0,
      (int)OptLevel::Standard, [](O& o, int v) { o.opt = (OptLevel)v; }},
-    {"fu_alloc", "--fu-alloc", "", "fu_alloc", Kind::Enum, kFuMethods, 0,
+    {"fu_alloc", "--fu-alloc", "fu_alloc", Kind::Enum, kFuMethods, 0,
      (int)FuAllocMethod::GreedyLocal,
      [](O& o, int v) { o.fuMethod = (FuAllocMethod)v; }},
-    {"reg_alloc", "--reg-alloc", "", "reg_alloc", Kind::Enum, kRegMethods, 0,
+    {"reg_alloc", "--reg-alloc", "reg_alloc", Kind::Enum, kRegMethods, 0,
      (int)RegAllocMethod::LeftEdge,
      [](O& o, int v) { o.regMethod = (RegAllocMethod)v; }},
-    {"encoding", "--encoding", "", "encoding", Kind::Enum, kEncodings, 0,
+    {"encoding", "--encoding", "encoding", Kind::Enum, kEncodings, 0,
      (int)StateEncoding::Binary,
      [](O& o, int v) { o.encoding = (StateEncoding)v; }},
-    {"time_constraint", "--time-constraint", "", "time_constraint",
+    {"time_constraint", "--time-constraint", "time_constraint",
      Kind::Int, {}, INT_MIN, 0, [](O& o, int v) { o.timeConstraint = v; }},
-    {"", "--jobs", "", "jobs", Kind::Int, {}, 1, 0,
+    {"", "--jobs", "jobs", Kind::Int, {}, 1, 0,
      [](O& o, int v) { o.jobs = v; }},
-    {"multicycle", "--multicycle", "", "multicycle", Kind::Bool, {}, 0, 0,
+    {"multicycle", "--multicycle", "multicycle", Kind::Bool, {}, 0, 0,
      [](O& o, int v) {
        o.latencies = v ? OpLatencyModel::multiCycle() : OpLatencyModel::unit();
      }},
-    {"narrow", "--narrow", "", "narrow", Kind::Bool, {}, 0, 0,
+    {"narrow", "--narrow", "narrow", Kind::Bool, {}, 0, 0,
      [](O& o, int v) { o.narrow = v != 0; }},
-    {"check", "--check", "--no-check", "check", Kind::Bool, {}, 0, 1,
-     [](O& o, int v) { o.check = v != 0; }},
-    {"", "--prove", "", "prove", Kind::Bool, {}, 0, 0,
+    {"", "--prove", "prove", Kind::Bool, {}, 0, 0,
      [](O& o, int v) { o.prove = v != 0; }},
 };
 
@@ -89,12 +87,11 @@ SynthesisOptions defaults() {
   return o;
 }
 
-bool applyToken(const Option& o, std::string_view value, bool on,
+bool applyToken(const Option& o, std::string_view value,
                 SynthesisOptions& opts) {
-  int v = 0;
+  int v = 1;
   switch (o.kind) {
     case Kind::Bool:
-      v = on ? 1 : 0;
       break;
     case Kind::Int:
       if (!parseNumber(value, o.min, INT_MAX, v)) return false;
@@ -137,7 +134,7 @@ std::string applyJson(const json::Node& obj, SynthesisOptions& opts) {
         break;
       }
       case Kind::Enum:
-        if (!applyToken(*o, v.str(), true, opts)) return bad + ": " + v.str();
+        if (!applyToken(*o, v.str(), opts)) return bad + ": " + v.str();
         break;
     }
   }

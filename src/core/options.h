@@ -21,7 +21,7 @@ namespace mphls::options {
 enum class Kind {
   Enum,  ///< one of `tokens`
   Int,   ///< an integer in [min, INT_MAX]
-  Bool,  ///< a JSON bool; on the CLI a switch (`flag` on, `noFlag` off)
+  Bool,  ///< a JSON bool; on the CLI a switch that turns it on
 };
 
 /// One spelling of an enum value.
@@ -33,7 +33,6 @@ struct Token {
 struct Option {
   std::string_view key;     ///< serve "options" member ("" = CLI-only)
   std::string_view flag;    ///< CLI flag
-  std::string_view noFlag;  ///< Bool: CLI flag that switches it off, or ""
   std::string_view what;    ///< option name in the serve 400 text
   Kind kind;
   std::span<const Token> tokens;  ///< Enum only
@@ -46,12 +45,12 @@ struct Option {
 [[nodiscard]] std::span<const Option> table();
 
 /// The CLI and serve baseline: every row at its default (universalSet(2)
-/// FUs, list scheduling, standard optimization, checks on).
+/// FUs, list scheduling, standard optimization).
 [[nodiscard]] SynthesisOptions defaults();
 
-/// CLI path: apply one row from its flag's value token ("" for a switch;
-/// `on` picks `flag` over `noFlag`). False on a bad token or number.
-bool applyToken(const Option& o, std::string_view value, bool on,
+/// CLI path: apply one row from its flag's value token ("" for a switch,
+/// which turns it on). False on a bad token or number.
+bool applyToken(const Option& o, std::string_view value,
                 SynthesisOptions& opts);
 
 /// JSON path: apply every member of a serve "options" object. Returns ""

@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "alloc/interconnect.h"
 #include "check/check_binding.h"
 #include "check/check_controller.h"
 #include "check/check_schedule.h"
@@ -83,7 +82,13 @@ SynthesisResult Synthesizer::backend(Function fn, StageTimes st) {
   // Each stage runs inside a TraceSpan that both emits the trace event
   // (when tracing is on) and accumulates the corresponding StageTimes
   // field — one pair of clock reads is the single source of truth for
-  // bench JSON and --trace output.
+  // bench JSON and --trace output. Each stage exit runs its src/check/
+  // analyzers into one report and throws CheckFailure on an error; those
+  // analyzers are the only gate on the stage contracts.
+  CheckReport checks;
+  auto gate = [&](const char* stage) {
+    if (!checks.clean()) throw CheckFailure(stage, std::move(checks));
+  };
   Schedule sched;
 
   {
@@ -111,24 +116,16 @@ SynthesisResult Synthesizer::backend(Function fn, StageTimes st) {
       }
       return serialSchedule(deps);
     }, options_.latencies);
-    if (isResourceLimited(options_.scheduler)) {
-      std::string msg =
-          validateSchedule(fn, sched, options_.resources, options_.latencies);
-      MPHLS_CHECK(msg.empty(), "invalid schedule: " << msg);
-    }
   }
-  if (options_.check) {
+  {
     obs::TraceSpan span("stage.check", "schedule", &st.check);
     // Stage exit: schedule legality.
-    CheckReport rep;
     checkSchedule(fn, sched,
                   isResourceLimited(options_.scheduler)
                       ? options_.resources
                       : ResourceLimits::unlimited(),
-                  options_.latencies, rep);
-    MPHLS_CHECK(rep.clean(), "schedule legality check failed ("
-                                 << rep.errorCount()
-                                 << " finding(s)): " << rep.firstError());
+                  options_.latencies, checks);
+    gate("schedule legality");
   }
 
   // 3. Data-path allocation (Section 3.2).
@@ -142,33 +139,17 @@ SynthesisResult Synthesizer::backend(Function fn, StageTimes st) {
     lib = HwLibrary::defaultLibrary();
     lt = computeLifetimes(fn, sched, options_.latencies);
     regs = allocateRegisters(lt, options_.regMethod);
-    {
-      std::string msg = validateRegAssignment(lt, regs);
-      MPHLS_CHECK(msg.empty(), "invalid register allocation: " << msg);
-    }
     binding = allocateFus(fn, sched, lt, regs, lib,
                           options_.fuMethod, options_.latencies);
-    {
-      std::string msg =
-          validateFuBinding(fn, sched, binding, lib, options_.latencies);
-      MPHLS_CHECK(msg.empty(), "invalid FU binding: " << msg);
-    }
     ic = buildInterconnect(fn, sched, lt, regs, binding, lib,
                            options_.latencies);
-    {
-      std::string msg = validateInterconnect(ic);
-      MPHLS_CHECK(msg.empty(), "invalid interconnect: " << msg);
-    }
   }
-  if (options_.check) {
+  {
     obs::TraceSpan span("stage.check", "binding", &st.check);
-    // Stage exit: binding consistency (registers, units, multiplexers).
-    CheckReport rep;
+    // Stage exit: binding consistency (registers, units, muxes, buses).
     checkBinding(fn, sched, lt, regs, binding, ic, lib, options_.latencies,
-                 rep);
-    MPHLS_CHECK(rep.clean(), "binding consistency check failed ("
-                                 << rep.errorCount()
-                                 << " finding(s)): " << rep.firstError());
+                 checks);
+    gate("binding consistency");
   }
 
   // 4. Controller synthesis (Section 2).
@@ -177,24 +158,19 @@ SynthesisResult Synthesizer::backend(Function fn, StageTimes st) {
     obs::TraceSpan span("stage.control", &st.control);
     ctrl =
         buildController(fn, sched, lt, regs, binding, ic, options_.latencies);
-    std::string msg = validateController(ctrl, ic, binding);
-    MPHLS_CHECK(msg.empty(), "invalid controller: " << msg);
   }
-  if (options_.check) {
+  {
     obs::TraceSpan span("stage.check", "controller", &st.check);
     // Stage exit: controller completeness.
-    CheckReport rep;
-    checkController(fn, sched, ctrl, ic, binding, options_.latencies, rep);
-    MPHLS_CHECK(rep.clean(), "controller completeness check failed ("
-                                 << rep.errorCount()
-                                 << " finding(s)): " << rep.firstError());
+    checkController(fn, sched, ctrl, ic, binding, options_.latencies, checks);
+    gate("controller completeness");
   }
 
   SynthesisResult result{
       RtlDesign{std::move(fn), std::move(sched), std::move(lt),
                 std::move(regs), std::move(binding), std::move(ic),
                 std::move(ctrl), std::move(lib)},
-      {}, {}, {}, {}, {}, {}};
+      {}, {}, {}, {}, {}, {}, {}, {}};
   {
     obs::TraceSpan span("stage.control", "encode", &st.control);
     result.fsm = encodeController(result.design.ctrl, result.design.ic,
@@ -211,18 +187,16 @@ SynthesisResult Synthesizer::backend(Function fn, StageTimes st) {
     result.area = estimateArea(result.design, result.fsm);
     result.timing = estimateTiming(result.design);
   }
-  if (options_.check) {
+  {
     obs::TraceSpan span("stage.check", "timing", &st.check);
     // Stage exit: the STA engine must close timing at the estimated cycle
-    // time and agree with the estimator it cross-validates.
-    CheckReport rep;
-    TimingLintOptions topt;
-    topt.clockNs = result.timing.cycleTime;
-    checkTiming(result.design, topt, rep);
-    MPHLS_CHECK(rep.clean(), "timing closure check failed ("
-                                 << rep.errorCount()
-                                 << " finding(s)): " << rep.firstError());
+    // time and agree with the estimator it cross-validates. Its result is
+    // kept, so no consumer at the default clock re-runs it.
+    if (runTimingAnalysis(result.design, {}, result.sta, checks))
+      checkTiming(result.design, result.sta, {}, checks);
+    gate("timing closure");
   }
+  result.checks = std::move(checks);
   if (options_.prove) {
     obs::TraceSpan span("stage.prove", &st.prove);
     CheckReport rep = sec::proveEquivalence(result.design);

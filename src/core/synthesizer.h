@@ -3,6 +3,13 @@
 // units, interconnect), bind, and synthesize control — with every task's
 // algorithm selectable, so the technique comparisons of Section 3 can be
 // run on real designs.
+//
+// Each stage's contract is checked once, at its exit, by the src/check/
+// analyzers (schedule legality, binding consistency, controller
+// completeness, timing closure); the first stage with an error finding
+// throws CheckFailure. The timing exit's STA result and the accumulated
+// report travel in SynthesisResult, so consumers at the default clock read
+// them instead of re-running the analysis.
 #pragma once
 
 #include <map>
@@ -11,6 +18,7 @@
 
 #include "alloc/fu_alloc.h"
 #include "alloc/reg_alloc.h"
+#include "check/report.h"
 #include "ctrl/encode.h"
 #include "ctrl/microcode.h"
 #include "estim/estimate.h"
@@ -18,6 +26,7 @@
 #include "rtl/design.h"
 #include "sched/list_sched.h"
 #include "sched/resource.h"
+#include "sta/sta.h"
 
 namespace mphls {
 
@@ -54,11 +63,6 @@ struct SynthesisOptions {
   /// the FSM-driven RTL; the Verilog emitter and the microcode simulator
   /// require unit latency.
   OpLatencyModel latencies = OpLatencyModel::unit();
-  /// Run the src/check/ stage-boundary analyzers at every stage exit
-  /// (schedule legality, binding consistency, controller completeness) and
-  /// throw InternalError on the first violation. On by default so every
-  /// test run is statically verified; `mphls --no-check` disables it.
-  bool check = true;
   /// Run the analysis-driven width-narrowing pass (opt/narrow.cpp) after
   /// the optimization pipeline: every value and register shrinks to the
   /// bitwidth the abstract interpreter proves sufficient. Off by default —
@@ -88,11 +92,11 @@ struct SynthesisOptions {
 /// BenchReporter can break down where synthesis time goes.
 struct StageTimes {
   double optimize = 0;   ///< high-level transformation passes
-  double schedule = 0;   ///< control-step assignment (incl. validation)
+  double schedule = 0;   ///< control-step assignment
   double allocate = 0;   ///< lifetimes, registers, FUs, interconnect
   double control = 0;    ///< controller build + FSM encode + microcode
   double estimate = 0;   ///< area/timing estimation
-  double check = 0;      ///< stage-boundary analyzers (options.check)
+  double check = 0;      ///< stage-exit analyzers (STA included)
   double prove = 0;      ///< formal equivalence proof (options.prove)
 
   [[nodiscard]] double total() const {
@@ -110,6 +114,12 @@ struct SynthesisResult {
   Microprogram microEncoded;
   AreaEstimate area;
   TimingEstimate timing;
+  /// Static timing at the estimated clock (sta::StaOptions{}), run once by
+  /// the timing stage exit.
+  sta::StaResult sta;
+  /// The stage-exit analyzers' findings: error-free (a stage with an error
+  /// throws CheckFailure instead), warnings kept.
+  CheckReport checks;
   StageTimes stages;
 
   /// Latency in control steps for a given behavioral input (runs the

@@ -170,62 +170,4 @@ Controller buildController(const Function& fn, const Schedule& sched,
   return ctrl;
 }
 
-std::string validateController(const Controller& ctrl,
-                               const InterconnectResult& ic,
-                               const FuBinding& binding) {
-  std::ostringstream err;
-  auto inRange = [&](StateId s) {
-    return s.valid() && s.index() < ctrl.numStates();
-  };
-  if (!inRange(ctrl.initial)) return "initial state out of range";
-  for (const CtrlState& st : ctrl.states) {
-    if (st.halt) continue;
-    if (st.conditional) {
-      if (!inRange(st.nextTaken) || !inRange(st.nextNot)) {
-        err << "state " << st.id << " conditional targets out of range";
-        return err.str();
-      }
-      if (st.cond.kind == Source::Kind::Fu &&
-          (st.cond.id < 0 || st.cond.id >= binding.numFus())) {
-        err << "state " << st.id << " condition unit out of range";
-        return err.str();
-      }
-    } else if (!inRange(st.next)) {
-      err << "state " << st.id << " has no successor";
-      return err.str();
-    }
-    for (const FuAction& fa : st.fuActions) {
-      if (fa.fu < 0 || fa.fu >= binding.numFus()) {
-        err << "state " << st.id << " uses unit out of range";
-        return err.str();
-      }
-      for (int p = 0; p < 3; ++p) {
-        if (fa.muxSel[p] >= 0 &&
-            fa.muxSel[p] >=
-                ic.fuInput[(std::size_t)fa.fu][(std::size_t)p].legs()) {
-          err << "state " << st.id << " mux select out of range";
-          return err.str();
-        }
-      }
-    }
-    for (const RegAction& ra : st.regActions) {
-      if (ra.reg < 0 || ra.reg >= (int)ic.regInput.size() ||
-          ra.muxSel < 0 ||
-          ra.muxSel >= ic.regInput[(std::size_t)ra.reg].legs()) {
-        err << "state " << st.id << " register action out of range";
-        return err.str();
-      }
-    }
-    for (const PortAction& pa : st.portActions) {
-      if (pa.port < 0 || pa.port >= (int)ic.outPortInput.size() ||
-          pa.muxSel < 0 ||
-          pa.muxSel >= ic.outPortInput[(std::size_t)pa.port].legs()) {
-        err << "state " << st.id << " port action out of range";
-        return err.str();
-      }
-    }
-  }
-  return {};
-}
-
 }  // namespace mphls

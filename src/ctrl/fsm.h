@@ -91,10 +91,4 @@ class Controller {
     const InterconnectResult& ic,
     const OpLatencyModel& latencies = OpLatencyModel::unit());
 
-/// Validate: transitions stay in range, conditional states have 1-bit
-/// conditions, all referenced fus/regs/muxes exist.
-[[nodiscard]] std::string validateController(const Controller& ctrl,
-                                             const InterconnectResult& ic,
-                                             const FuBinding& binding);
-
 }  // namespace mphls

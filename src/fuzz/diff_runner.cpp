@@ -58,7 +58,6 @@ SynthesisOptions MatrixPoint::toOptions() const {
   so.resources = ResourceLimits::universalSet(fus);
   so.latencies =
       multicycle ? OpLatencyModel::multiCycle() : OpLatencyModel::unit();
-  so.check = true;
   // The runner applies optimization and narrowing itself (through
   // FrontendCache and an explicit pass run) so narrowed IR is shared
   // between the points that want it; the Synthesizer only sees the
@@ -272,6 +271,15 @@ int injectSwappedBinding(RtlDesign& d, const OpLatencyModel& lat) {
   return 0;
 }
 
+std::string_view stageExitKind(std::string_view firstErrorId) {
+  if (firstErrorId == "timing.estimate-divergence") return "sta-divergence";
+  if (firstErrorId == "timing.negative-slack" ||
+      firstErrorId == "timing.comb-loop")
+    return "sta-negative-slack";
+  if (firstErrorId == "timing.analysis-error") return "sta-crash";
+  return "check";
+}
+
 std::vector<MatrixPoint> ProgramVerdict::failingPoints() const {
   std::vector<MatrixPoint> pts;
   for (const PointFailure& f : failures) {
@@ -347,6 +355,12 @@ ProgramVerdict runSource(const std::string& source, std::uint64_t seed,
       PassManager::narrowing().run(*narrowed);
       fn = std::move(narrowed);
     }
+    // The semantic lints only warn, so no verdict depends on them; they
+    // run once per distinct function to catch analyzer crashes.
+    if (options.check) {
+      CheckReport semantics;
+      checkSemantics(*fn, semantics);
+    }
     fronts.emplace(key, fn);
     return fn;
   };
@@ -365,10 +379,13 @@ ProgramVerdict runSource(const std::string& source, std::uint64_t seed,
       SynthesisResult r = synth.synthesizeOptimized(work);
       OpLatencyModel lat = p.multicycle ? OpLatencyModel::multiCycle()
                                         : OpLatencyModel::unit();
+      // The synthesizer's stage exits checked the design it built; one
+      // changed afterwards is re-checked below.
+      bool changed = options.postSynthesis != nullptr;
       if (options.inject == InjectedBug::ScheduleShift)
-        injectScheduleShift(r.design, lat);
+        changed |= injectScheduleShift(r.design, lat) > 0;
       if (options.inject == InjectedBug::SwappedBinding)
-        injectSwappedBinding(r.design, lat);
+        changed |= injectSwappedBinding(r.design, lat) > 0;
       if (options.postSynthesis) options.postSynthesis(r, p);
       ++v.pointsRun;
 
@@ -379,7 +396,8 @@ ProgramVerdict runSource(const std::string& source, std::uint64_t seed,
         // and must agree with the estimator it cross-validates.
         bool staFailed = false;
         try {
-          sta::StaResult sr = sta::runSta(r.design);
+          if (changed) r.sta = sta::runSta(r.design);
+          const sta::StaResult& sr = r.sta;
           if (std::fabs(sr.cycleTime - sr.estimatedCycleTime) > 1e-6) {
             std::ostringstream oss;
             oss << "STA cycle time " << sr.cycleTime
@@ -403,14 +421,15 @@ ProgramVerdict runSource(const std::string& source, std::uint64_t seed,
           continue;
         }
 
+        // The netlist lint, plus the stage analyzers for a changed design
+        // (the oracle above covers timing, the frontend the semantics).
         CheckOptions co;
         co.resources = p.resourceLimited()
                            ? ResourceLimits::universalSet(p.fus)
                            : ResourceLimits::unlimited();
-        co.latencies = p.multicycle ? OpLatencyModel::multiCycle()
-                                    : OpLatencyModel::unit();
-        // The oracle above already ran the timing lint's substance with
-        // per-kind reporting; skip the duplicate inside checkDesign.
+        co.latencies = lat;
+        co.schedule = co.binding = co.controller = changed;
+        co.semantics = false;
         co.timing = false;
         CheckReport rep = checkDesign(r.design, co);
         if (!rep.clean()) {
@@ -440,14 +459,13 @@ ProgramVerdict runSource(const std::string& source, std::uint64_t seed,
     } catch (const vm::DivergenceError& e) {
       fail("vm-divergence", e.what());
       if (options.stopAtFirstFailure) return v;
+    } catch (const CheckFailure& e) {
+      // A stage exit failed before this runner's oracles got a look; its
+      // first finding names the kind.
+      fail(std::string(stageExitKind(e.report().firstErrorId())), e.what());
+      if (options.stopAtFirstFailure) return v;
     } catch (const std::exception& e) {
-      // The synthesizer's own stage-exit timing check throws before this
-      // runner's oracle gets a look; keep the per-kind classification.
-      const std::string what = e.what();
-      fail(what.find("timing closure check failed") != std::string::npos
-               ? "sta-divergence"
-               : "error",
-           what);
+      fail("error", e.what());
       if (options.stopAtFirstFailure) return v;
     }
   }

@@ -7,23 +7,29 @@
 // controller style (state encoding) × {narrow on/off} × latency model —
 // and for every matrix point:
 //
-//   1. synthesizes the design with the stage-exit checkers armed
-//      (SynthesisOptions::check), sharing the frontend through
-//      FrontendCache so the parse/optimize cost is paid once per
-//      (program, opt level) rather than per point;
-//   2. gates the finished design through the full checkDesign/lint pass;
+//   1. synthesizes the design, sharing the frontend through FrontendCache
+//      so the parse/optimize cost is paid once per (program, opt level)
+//      rather than per point; the synthesizer's stage exits check the
+//      schedule, binding, controller and timing (one STA run), and a
+//      stage-exit failure is classified by its first finding's check id;
+//   2. gates the finished design through the STA oracle (on the carried
+//      STA result) and the netlist lint — re-running STA and the stage
+//      analyzers only for a design changed after synthesis (an injected
+//      schedule/binding bug or a postSynthesis hook); the semantic lints
+//      run once per distinct frontend function;
 //   3. co-simulates the RTL against the golden outputs on several input
 //      patterns (all-zeros, all-ones, seeded random).
 //
-// Any disagreement — a mismatch, a check finding, a simulator that never
-// halts, or an exception out of the pipeline — is recorded as a
-// PointFailure naming the exact matrix point, which is what the reducer
+// Any disagreement — a mismatch, a check or timing finding, a simulator
+// that never halts, or an exception out of the pipeline — is recorded as
+// a PointFailure naming the exact matrix point, which is what the reducer
 // and the corpus replay key on.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/commands.h"
@@ -48,8 +54,8 @@ struct MatrixPoint {
   ///  lat=unit fus=2".
   [[nodiscard]] std::string label() const;
 
-  /// Synthesis options for this point (check armed, narrow handled by the
-  /// runner itself so the narrowed IR is shared between points).
+  /// Synthesis options for this point (narrow handled by the runner
+  /// itself so the narrowed IR is shared between points).
   [[nodiscard]] SynthesisOptions toOptions() const;
 
   /// Whether the schedule is produced under the resource limits (false
@@ -125,11 +131,18 @@ int injectScheduleShift(RtlDesign& d,
 int injectSwappedBinding(RtlDesign& d,
                          const OpLatencyModel& lat = OpLatencyModel::unit());
 
+/// The PointFailure kind of a synthesis stage exit that threw
+/// CheckFailure, by its first error's check id: the STA oracle's kinds for
+/// the timing ids, "check" for every other analyzer.
+[[nodiscard]] std::string_view stageExitKind(std::string_view firstErrorId);
+
 struct PointFailure {
   MatrixPoint point;
   std::string kind;    ///< "compile" | "nonterminating" | "check" |
                        ///< "mismatch" | "rtl-timeout" | "error" |
-                       ///< "vm-divergence" | "vm-divergence-behav"
+                       ///< "vm-divergence" | "vm-divergence-behav" |
+                       ///< "sta-divergence" | "sta-negative-slack" |
+                       ///< "sta-crash"
   std::string detail;
   int trial = -1;      ///< input-pattern index for co-simulation failures
 
@@ -160,7 +173,8 @@ struct ProgramVerdict {
 struct DiffOptions {
   std::vector<MatrixPoint> points = FuzzMatrix::standard().points();
   int trials = 4;
-  /// Run the full checkDesign/lint gate on every synthesized point.
+  /// Run the STA oracle, the netlist lint and the semantic lints on every
+  /// synthesized point (the synthesizer's stage exits always run).
   bool check = true;
   /// Stop at the first failing point/trial (used by the reducer, where
   /// only "still fails" matters, not the full failure inventory).

@@ -8,6 +8,7 @@
 
 #include "common/bench_report.h"
 #include "common/json_reader.h"
+#include "core/options.h"
 #include "serve/client.h"
 
 namespace mphls::serve {
@@ -152,8 +153,8 @@ LoadgenReport runLoadgen(const LoadgenOptions& opts) {
       pr.body =
           "{\"design\":\"" + d.name + "\",\"inputs\":" + d.inputsJson + "}";
     else if (ep == "prove")
-      pr.body = "{\"design\":\"" + d.name +
-                "\",\"options\":{\"opt\":\"standard\"}}";
+      pr.body = "{\"design\":\"" + d.name + "\",\"options\":{\"opt\":\"" +
+                std::string(options::token(OptLevel::Standard)) + "\"}}";
     else
       pr.body = "{\"design\":\"" + d.name + "\"}";
     plan.push_back(std::move(pr));

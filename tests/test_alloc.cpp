@@ -14,6 +14,7 @@
 #include "alloc/interconnect.h"
 #include "alloc/lifetime.h"
 #include "alloc/reg_alloc.h"
+#include "check/check_binding.h"
 #include "lang/frontend.h"
 #include "sched/list_sched.h"
 #include "sched/sched_util.h"
@@ -48,6 +49,19 @@ struct Flow {
         lt(computeLifetimes(fn, sched)),
         regs(allocateRegisters(lt)) {}
 };
+
+/// The binding analyzer's first error for each part ("" when clean).
+std::string regErrors(const LifetimeInfo& lt, const RegAssignment& regs) {
+  CheckReport rep;
+  checkRegisters(lt, regs, rep);
+  return rep.firstError();
+}
+
+std::string muxErrors(const InterconnectResult& ic) {
+  CheckReport rep;
+  checkMuxes(ic, rep);
+  return rep.firstError();
+}
 
 // ----------------------------------------------------------------- lifetime
 
@@ -149,7 +163,7 @@ TEST(Clique, CoverValidityDetectsBrokenCover) {
 TEST(RegAlloc, LeftEdgeAchievesMaxOverlap) {
   Flow flow(kSqrtSrc);
   auto regs = allocateRegisters(flow.lt, RegAllocMethod::LeftEdge);
-  EXPECT_EQ(validateRegAssignment(flow.lt, regs), "");
+  EXPECT_EQ(regErrors(flow.lt, regs), "");
   // Left edge is optimal for interval graphs.
   EXPECT_EQ(regs.numRegs, flow.lt.maxOverlap());
 }
@@ -158,14 +172,14 @@ TEST(RegAlloc, CliqueMatchesLeftEdgeOnSqrt) {
   Flow flow(kSqrtSrc);
   auto le = allocateRegisters(flow.lt, RegAllocMethod::LeftEdge);
   auto cq = allocateRegisters(flow.lt, RegAllocMethod::Clique);
-  EXPECT_EQ(validateRegAssignment(flow.lt, cq), "");
+  EXPECT_EQ(regErrors(flow.lt, cq), "");
   EXPECT_EQ(cq.numRegs, le.numRegs);
 }
 
 TEST(RegAlloc, NaiveUsesOneRegisterPerItem) {
   Flow flow(kSqrtSrc);
   auto na = allocateRegisters(flow.lt, RegAllocMethod::Naive);
-  EXPECT_EQ(validateRegAssignment(flow.lt, na), "");
+  EXPECT_EQ(regErrors(flow.lt, na), "");
   int nonEmpty = 0;
   for (const auto& it : flow.lt.items)
     if (!it.live.empty()) ++nonEmpty;
@@ -244,6 +258,11 @@ struct RawFlow {
   [[nodiscard]] InterconnectResult wires(const FuBinding& b) const {
     return buildInterconnect(fn, sched, lt, regs, b, lib);
   }
+  [[nodiscard]] std::string unitErrors(const FuBinding& b) const {
+    CheckReport rep;
+    checkUnits(fn, sched, b, lib, OpLatencyModel::unit(), rep);
+    return rep.firstError();
+  }
 };
 
 TEST(FuAlloc, Fig6AwareBeatsBlind) {
@@ -252,12 +271,12 @@ TEST(FuAlloc, Fig6AwareBeatsBlind) {
                    {{FuClass::Adder, 2}, {FuClass::Logic, 2}}));
   FuBinding aware = flow.alloc(FuAllocMethod::GreedyLocal);
   FuBinding blind = flow.alloc(FuAllocMethod::InterconnectBlind);
-  EXPECT_EQ(validateFuBinding(flow.fn, flow.sched, aware, flow.lib), "");
-  EXPECT_EQ(validateFuBinding(flow.fn, flow.sched, blind, flow.lib), "");
+  EXPECT_EQ(flow.unitErrors(aware), "");
+  EXPECT_EQ(flow.unitErrors(blind), "");
   auto icAware = flow.wires(aware);
   auto icBlind = flow.wires(blind);
-  EXPECT_EQ(validateInterconnect(icAware), "");
-  EXPECT_EQ(validateInterconnect(icBlind), "");
+  EXPECT_EQ(muxErrors(icAware), "");
+  EXPECT_EQ(muxErrors(icBlind), "");
   // The paper's Fig. 6 claim: checking interconnection costs yields
   // cheaper multiplexing than ignoring them.
   EXPECT_LT(icAware.muxArea, icBlind.muxArea);
@@ -282,7 +301,7 @@ TEST(FuAlloc, Fig7CliqueSharesAdderAcrossSteps) {
 
   RawFlow flow(std::move(fn), ResourceLimits::unlimited());
   FuBinding cb = flow.alloc(FuAllocMethod::Clique);
-  EXPECT_EQ(validateFuBinding(flow.fn, flow.sched, cb, flow.lib), "");
+  EXPECT_EQ(flow.unitErrors(cb), "");
   EXPECT_EQ(cb.numFus(), 2);
   // One unit runs three of the four additions.
   std::map<int, int> opCount;
@@ -299,10 +318,10 @@ TEST(FuAlloc, AllMethodsValidOnSqrt) {
   for (auto m : {FuAllocMethod::GreedyLocal, FuAllocMethod::GreedyGlobal,
                  FuAllocMethod::InterconnectBlind, FuAllocMethod::Clique}) {
     FuBinding bind = flow.alloc(m);
-    EXPECT_EQ(validateFuBinding(flow.fn, flow.sched, bind, flow.lib), "")
+    EXPECT_EQ(flow.unitErrors(bind), "")
         << fuAllocMethodName(m);
     auto ic = flow.wires(bind);
-    EXPECT_EQ(validateInterconnect(ic), "") << fuAllocMethodName(m);
+    EXPECT_EQ(muxErrors(ic), "") << fuAllocMethodName(m);
   }
 }
 
@@ -332,7 +351,7 @@ TEST(FuAlloc, DividerAndMultiplierStaySeparate) {
 TEST(Interconnect, TransfersCoverSinks) {
   RawFlow flow(compileBdlOrThrow(kSqrtSrc), ResourceLimits::universalSet(2));
   auto ic = flow.wires(flow.alloc(FuAllocMethod::GreedyLocal));
-  EXPECT_EQ(validateInterconnect(ic), "");
+  EXPECT_EQ(muxErrors(ic), "");
   bool sawRegWrite = false, sawPortWrite = false;
   for (const auto& t : ic.transfers) {
     if (t.destKind == Transfer::DestKind::Reg) sawRegWrite = true;
@@ -359,8 +378,8 @@ TEST(Interconnect, MuxAreaGrowsWithSharing) {
   RawFlow two(compileBdlOrThrow(kSqrtSrc), ResourceLimits::universalSet(2));
   auto icOne = one.wires(one.alloc(FuAllocMethod::GreedyLocal));
   auto icTwo = two.wires(two.alloc(FuAllocMethod::GreedyLocal));
-  EXPECT_EQ(validateInterconnect(icOne), "");
-  EXPECT_EQ(validateInterconnect(icTwo), "");
+  EXPECT_EQ(muxErrors(icOne), "");
+  EXPECT_EQ(muxErrors(icTwo), "");
   EXPECT_GT(icOne.muxArea, 0.0);
 }
 

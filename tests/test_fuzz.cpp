@@ -141,6 +141,18 @@ TEST(FuzzDiff, DetectsCorruptedSchedule) {
   for (const auto& f : v.failures) EXPECT_EQ(f.kind, "check") << f.detail;
 }
 
+TEST(FuzzDiff, StageExitFailuresAreClassifiedByCheckId) {
+  EXPECT_EQ(fuzz::stageExitKind("timing.estimate-divergence"),
+            "sta-divergence");
+  EXPECT_EQ(fuzz::stageExitKind("timing.negative-slack"),
+            "sta-negative-slack");
+  EXPECT_EQ(fuzz::stageExitKind("timing.comb-loop"), "sta-negative-slack");
+  EXPECT_EQ(fuzz::stageExitKind("timing.analysis-error"), "sta-crash");
+  for (const char* id : {"sched.dep-order", "bind.bus-conflict",
+                         "ctrl.action-range", "timing.chain-overrun", ""})
+    EXPECT_EQ(fuzz::stageExitKind(id), "check") << id;
+}
+
 // ----------------------------------------------------------------- reducer
 
 TEST(FuzzReduce, ShrinksInjectedMiscompileWitness) {

@@ -74,7 +74,6 @@ void expectSame(const SynthesisOptions& a, const SynthesisOptions& b) {
   EXPECT_EQ(a.resources.perClass, b.resources.perClass);
   EXPECT_EQ(a.latencies.of(OpKind::Mul), b.latencies.of(OpKind::Mul));
   EXPECT_EQ(a.latencies.of(OpKind::Div), b.latencies.of(OpKind::Div));
-  EXPECT_EQ(a.check, b.check);
   EXPECT_EQ(a.narrow, b.narrow);
   EXPECT_EQ(a.prove, b.prove);
   EXPECT_EQ(a.jobs, b.jobs);
@@ -88,7 +87,6 @@ TEST(Options, DefaultsAreTheCliAndServeBaseline) {
   EXPECT_EQ(d.resources.universalCount, 2);
   EXPECT_EQ(d.scheduler, SchedulerKind::List);
   EXPECT_EQ(d.opt, OptLevel::Standard);
-  EXPECT_TRUE(d.check);
   EXPECT_TRUE(d.latencies.isUnit());
   const auto cli = viaCli({});
   ASSERT_TRUE(cli);
@@ -127,10 +125,9 @@ TEST(Options, CliAndJsonPathsAgreeOnEveryRowAndToken) {
         SCOPED_TRACE(flag);
         const auto on = viaCli({flag});
         ASSERT_TRUE(on) << flag;
-        // Off: the negated flag where there is one, else the default.
-        const auto off =
-            o.noFlag.empty() ? viaCli({}) : viaCli({std::string(o.noFlag)});
-        ASSERT_TRUE(off) << o.noFlag;
+        // Off: the default.
+        const auto off = viaCli({});
+        ASSERT_TRUE(off);
         if (key.empty()) break;  // CLI-only
         SynthesisOptions js;
         ASSERT_EQ(viaJson(key, "true", js), "");
@@ -189,6 +186,10 @@ TEST(Options, BadTokensAndNumbersAreRejectedByBothPaths) {
   SynthesisOptions js;
   EXPECT_EQ(viaJson("fus", "0", js), "bad fus");
   EXPECT_EQ(viaJson("optlevel", "\"none\"", js), "unknown option: optlevel");
+  // The stage-exit checks always run: there is no option to turn them off.
+  EXPECT_FALSE(viaCli({"--no-check"}));
+  EXPECT_FALSE(viaCli({"--check"}));
+  EXPECT_EQ(viaJson("check", "false", js), "unknown option: check");
   EXPECT_EQ(viaJson("opt", "\"fast\"", js), "bad opt level: fast");
 }
 

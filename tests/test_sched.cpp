@@ -8,6 +8,7 @@
 //   - Fig. 5: the distribution graph values 1, 1+1/2, 1/2.
 #include <gtest/gtest.h>
 
+#include "check/check_schedule.h"
 #include "ir/interp.h"
 #include "lang/frontend.h"
 #include "sched/asap.h"
@@ -200,7 +201,9 @@ TEST(SchedList, Fig2TenStepsWithTwoUniversalUnits) {
   Schedule sched = scheduleFunction(fn, [&](const BlockDeps& d) {
     return listSchedule(d, limits, ListPriority::PathLength);
   });
-  EXPECT_EQ(validateSchedule(fn, sched, limits), "");
+  CheckReport rep;
+  checkSchedule(fn, sched, limits, OpLatencyModel::unit(), rep);
+  EXPECT_TRUE(rep.clean()) << rep.render();
   Interpreter in(fn);
   auto res = in.run({{"x", 2048}});
   // 2 + 4*2 = 10 control steps (paper Fig. 2: "the operations can now be

@@ -287,7 +287,8 @@ TEST(ServeService, UnknownRouteIs404WrongMethodIs405) {
 TEST(ServeService, MalformedBodiesAre400) {
   const serve::Service svc = makeService();
   // Broken JSON, non-object, missing source, unknown builtin, bad option
-  // key, bad option value, non-object options, bad /sim inputs, and
+  // keys (the stage-exit checks have no switch), bad option value,
+  // non-object options, bad /sim inputs, and
   // numbers with no int (or uint64_t) value: out of range or fractional.
   // `error`, when set, must appear in the body.
   struct Case {
@@ -307,6 +308,8 @@ TEST(ServeService, MalformedBodiesAre400) {
        "{\"design\": \"sqrt\", \"options\": {\"scheduler\": \"magic\"}}",
        nullptr},
       {"/synth", "{\"design\": \"sqrt\", \"options\": [1]}", nullptr},
+      {"/lint", "{\"design\": \"sqrt\", \"options\": {\"check\": false}}",
+       "unknown option: check"},
       {"/sim", "{\"design\": \"sqrt\", \"inputs\": {\"x\": \"ten\"}}", nullptr},
       {"/synth", "{\"design\": \"sqrt\", \"options\": {\"fus\": 1e300}}",
        "bad fus"},

@@ -185,17 +185,34 @@ TEST(CheckTiming, CleanAtEstimatedClock) {
   for (const auto& d : designs::all()) {
     auto r = synth(d.source);
     CheckReport rep;
-    checkTiming(r.design, TimingLintOptions{}, rep);
+    checkTiming(r.design, r.sta, TimingLintOptions{}, rep);
     EXPECT_TRUE(rep.clean()) << d.name << ": " << rep.firstError();
   }
 }
 
+TEST(CheckTiming, CarriedResultIsTheDefaultRun) {
+  // The timing stage exit's STA result is what a fresh default run yields,
+  // so consumers at the estimated clock can read it instead.
+  for (const auto& d : designs::all()) {
+    auto r = synth(d.source);
+    EXPECT_EQ(sta::staReportJson("design", d.name, r.sta).dump(),
+              sta::staReportJson("design", d.name, sta::runSta(r.design))
+                  .dump())
+        << d.name;
+  }
+}
+
+/// runSta at a declared clock.
+sta::StaResult staAt(const RtlDesign& d, double clockNs) {
+  sta::StaOptions o;
+  o.clockNs = clockNs;
+  return sta::runSta(d, o);
+}
+
 TEST(CheckTiming, NegativeSlackFiresOnTightClock) {
   auto r = synth(designs::sqrtSource());
-  TimingLintOptions o;
-  o.clockNs = 2.0;
   CheckReport rep;
-  checkTiming(r.design, o, rep);
+  checkTiming(r.design, staAt(r.design, 2.0), TimingLintOptions{}, rep);
   EXPECT_FALSE(rep.clean());
   EXPECT_TRUE(hasDiag(rep, "timing.negative-slack", CheckSeverity::Error));
   // Squeezing the clock that hard also makes the mux chains dominate.
@@ -210,17 +227,13 @@ TEST(CheckTiming, FiresOnHandCorruptedFixture) {
   const double clock = r.timing.cycleTime;
   {
     CheckReport rep;
-    TimingLintOptions o;
-    o.clockNs = clock;
-    checkTiming(r.design, o, rep);
+    checkTiming(r.design, staAt(r.design, clock), TimingLintOptions{}, rep);
     EXPECT_TRUE(rep.clean()) << rep.firstError();
   }
   ASSERT_FALSE(r.design.binding.fus.empty());
   for (FuInstance& fu : r.design.binding.fus) fu.width = 512;
   CheckReport rep;
-  TimingLintOptions o;
-  o.clockNs = clock;
-  checkTiming(r.design, o, rep);
+  checkTiming(r.design, staAt(r.design, clock), TimingLintOptions{}, rep);
   EXPECT_FALSE(rep.clean());
   EXPECT_TRUE(hasDiag(rep, "timing.negative-slack", CheckSeverity::Error));
 }
@@ -228,10 +241,9 @@ TEST(CheckTiming, FiresOnHandCorruptedFixture) {
 TEST(CheckTiming, MaxReportedCapsFindings) {
   auto r = synth(designs::ewfSource());
   TimingLintOptions o;
-  o.clockNs = 1.0;
   o.maxReported = 2;
   CheckReport rep;
-  checkTiming(r.design, o, rep);
+  checkTiming(r.design, staAt(r.design, 1.0), o, rep);
   std::size_t negSlack = 0;
   for (const CheckDiag& d : rep.sorted())
     if (d.id == "timing.negative-slack") ++negSlack;
