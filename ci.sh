@@ -1,7 +1,8 @@
 #!/bin/sh
 # Tier-1 verification: warnings-clean build, full test suite, a static lint
-# of the paper's square-root design, the semantic-lint gate over every
-# built-in design, a static-timing gate (path-level STA over every
+# of the paper's square-root design, a strict-UTF-8 gate over its JSON
+# reports under a file name holding byte 0xFF, the semantic-lint gate over
+# every built-in design, a static-timing gate (path-level STA over every
 # built-in, cross-validated against the estimator, plus a must-fail
 # tight-clock run), a fixed-seed differential fuzz campaign (plus an
 # injected-miscompile round trip), the formal equivalence gate (`mphls
@@ -31,6 +32,27 @@ cmake -B build -S . -DMPHLS_WERROR=ON
 cmake --build build -j"$(nproc)"
 ctest --test-dir build --output-on-failure -j"$(nproc)"
 ./build/src/cli/mphls lint examples/sqrt.bdl
+
+# --- Strict-UTF-8 JSON gate: a design whose file name is not valid UTF-8
+# (byte 0xFF) must still get valid JSON (RFC 8259 §8.1) from every
+# `--format json` report, the bad byte written as U+FFFD.
+UTF8_BDL="build/sqrt-$(printf '\377').bdl"
+cp examples/sqrt.bdl "$UTF8_BDL"
+python3 - ./build/src/cli/mphls "$UTF8_BDL" << 'EOF'
+import json, subprocess, sys
+
+mphls, bdl = sys.argv[1], sys.argv[2]
+for cmd in ("synth", "lint", "analyze", "sta", "prove"):
+    raw = subprocess.run([mphls, cmd, "--format", "json", bdl],
+                         capture_output=True, check=True).stdout
+    try:
+        text = raw.decode("utf-8")  # strict: invalid UTF-8 raises
+        json.loads(text)
+    except ValueError as e:
+        sys.exit(f"{cmd} --format json: not valid UTF-8 JSON: {e}")
+    assert "�" in text, f"{cmd}: bad name byte not written as U+FFFD"
+print("utf-8 gate: synth, lint, analyze, sta, prove JSON all valid UTF-8")
+EOF
 
 # --- Release build gate: -O3 turns on optimizer-driven diagnostics that
 # RelWithDebInfo never sees (GCC 12's -Wrestrict insert-path analysis

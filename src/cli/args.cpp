@@ -261,7 +261,6 @@ std::vector<Flag> FuzzArgs::flags() {
       sw("--no-save", save, false),
       text("--replay", "DIR", replayDir),
       injectFlag(c.diff.inject),
-      sw("--no-check", c.diff.check, false),
       text("--out", "FILE", outFile),
       text("--trace", "FILE", traceOut),
       text("--stats", "FILE", statsOut),

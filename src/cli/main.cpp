@@ -82,6 +82,7 @@
 #include "analysis/dataflow.h"
 #include "check/check.h"
 #include "cli/args.h"
+#include "common/bench_report.h"
 #include "common/json_reader.h"
 #include "common/thread_pool.h"
 #include "core/commands.h"
@@ -509,7 +510,7 @@ int runSta(const DesignArgs& a, const cmd::Request& file) {
   if (a.jsonFormat && !a.builtins)
     return printResult(a, cmd::staJson(file, a.staClock, a.staPaths));
   bool ok = true;
-  JsonValue reports = JsonValue::array();  // --builtins --format json
+  json::Node reports = json::Node::array();  // --builtins --format json
   for (const cmd::Request& req : targets(a, file)) {
     const auto o = cmd::staReport(req, a.staClock, a.staPaths);
     if (!o.value) return fail(req.name + ": " + o.failure.error);
@@ -517,7 +518,7 @@ int runSta(const DesignArgs& a, const cmd::Request& file) {
     const CheckReport& rep = o.value->lint;
     ok = ok && rep.clean();
     if (a.jsonFormat) {
-      reports.push(cmd::staJsonValue("design", req.name, *o.value));
+      reports.push(cmd::staJsonNode("design", req.name, *o.value));
       continue;
     }
     std::printf("%s: clock %.3f%s, cycle time %.3f, worst slack %+.3f,"
@@ -602,10 +603,9 @@ int runSynth(const DesignArgs& a, const cmd::Request& req) {
 
   int failures = 0;
   if (!a.verifyRuns.empty()) {
-    vm::RtlSim verifySim(d);  // compiled once, reused across --verify runs
     for (const auto& inputs : a.verifyRuns) {
-      std::string msg = verifyAgainstBehavior(result, inputs);
-      auto res = verifySim.run(inputs);
+      RtlExecResult res;
+      const std::string msg = verifyAgainstBehavior(result, inputs, &res);
       std::cout << "verify";
       for (const auto& [k, v] : inputs) std::cout << " " << k << "=" << v;
       if (msg.empty()) {
@@ -762,9 +762,9 @@ int runFuzz(int argc, char** argv) {
   if (a.outFile.empty() && !r.clean() && !c.corpusDir.empty())
     a.outFile = c.corpusDir + "/FUZZ_report.json";
   if (!a.outFile.empty()) {
-    std::ofstream out(a.outFile);
-    if (!out) return fail("cannot write " + a.outFile);
-    out << fuzz::campaignReport(c, r, a.matrixName).dump();
+    if (!json::writeFile(a.outFile,
+                         fuzz::campaignReport(c, r, a.matrixName)))
+      return fail("cannot write " + a.outFile);
     if (!a.quiet) std::cout << "wrote " << a.outFile << "\n";
   }
   if (writeObsOutputs(a.traceOut, a.statsOut, a.quiet) != 0) return 1;

@@ -1,17 +1,10 @@
-// Benchmark reporting: a wall-clock timer, a tiny ordered JSON document
-// builder, and the BenchReporter that the `mphls bench` suite and the
-// pipeline stage timers write through. The JSON files it produces
-// (BENCH_dse.json, BENCH_sched.json) track the performance trajectory of
-// the synthesis system across PRs; keys are emitted in insertion order so
-// diffs between runs stay readable.
+// Benchmark timing: a wall-clock stopwatch and a best-of-N timer. The
+// bench, fuzz and loadgen reports that carry these times are json::Node
+// documents (common/json_reader.h).
 #pragma once
 
+#include <algorithm>
 #include <chrono>
-#include <cstddef>
-#include <functional>
-#include <string>
-#include <utility>
-#include <vector>
 
 namespace mphls {
 
@@ -30,74 +23,19 @@ class WallTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// A JSON value: null, bool, number, string, array, or object with
-/// insertion-ordered keys. Just enough for the bench reports — no parsing.
-class JsonValue {
- public:
-  JsonValue() = default;
-  JsonValue(bool b) : kind_(Kind::Bool), bool_(b) {}
-  JsonValue(int v) : kind_(Kind::Number), num_(v) {}
-  JsonValue(long v) : kind_(Kind::Number), num_(static_cast<double>(v)) {}
-  JsonValue(std::size_t v)
-      : kind_(Kind::Number), num_(static_cast<double>(v)) {}
-  JsonValue(double v) : kind_(Kind::Number), num_(v) {}
-  JsonValue(const char* s) : kind_(Kind::String), str_(s) {}
-  JsonValue(std::string s) : kind_(Kind::String), str_(std::move(s)) {}
-
-  [[nodiscard]] static JsonValue object();
-  [[nodiscard]] static JsonValue array();
-
-  /// Object access; inserts a null member on first use. Converts a null
-  /// value into an object.
-  JsonValue& operator[](const std::string& key);
-
-  /// Array append. Converts a null value into an array.
-  JsonValue& push(JsonValue v);
-
-  [[nodiscard]] bool isNull() const { return kind_ == Kind::Null; }
-
-  /// Serialize with 2-space indentation and a trailing newline at the top
-  /// level. Doubles are printed with enough digits to round-trip.
-  [[nodiscard]] std::string dump() const;
-
- private:
-  enum class Kind { Null, Bool, Number, String, Array, Object };
-
-  void dumpTo(std::string& out, int depth) const;
-
-  Kind kind_ = Kind::Null;
-  bool bool_ = false;
-  double num_ = 0;
-  std::string str_;
-  std::vector<JsonValue> arr_;
-  std::vector<std::pair<std::string, JsonValue>> obj_;
-};
-
-/// Collects metrics for one benchmark into a JSON document and writes it
-/// to disk. Typical use:
-///
-///   BenchReporter rep("dse_resource_sweep");
-///   rep.root()["jobs"] = 4;
-///   rep.root()["wall_seconds"] = t.seconds();
-///   rep.writeFile("BENCH_dse.json");
-class BenchReporter {
- public:
-  explicit BenchReporter(const std::string& benchmarkName);
-
-  [[nodiscard]] JsonValue& root() { return root_; }
-
-  /// Timing helper: runs `fn` `repeats` times and returns the best
-  /// (minimum) wall time in seconds — the standard estimator on a noisy
-  /// shared machine.
-  static double timeBest(int repeats, const std::function<void()>& fn);
-
-  [[nodiscard]] std::string json() const { return root_.dump(); }
-
-  /// Write the document to `path`; returns false on I/O failure.
-  bool writeFile(const std::string& path) const;
-
- private:
-  JsonValue root_;
-};
+/// Runs `fn` `repeats` times (at least once) and returns the best
+/// (minimum) wall time in seconds — the standard estimator on a noisy
+/// shared machine.
+template <typename Fn>
+double timeBest(int repeats, Fn&& fn) {
+  double best = -1;
+  for (int r = 0; r < std::max(repeats, 1); ++r) {
+    WallTimer t;
+    fn();
+    const double s = t.seconds();
+    if (best < 0 || s < best) best = s;
+  }
+  return best;
+}
 
 }  // namespace mphls

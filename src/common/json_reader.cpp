@@ -1,6 +1,11 @@
 #include "common/json_reader.h"
 
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+
+#include "obs/trace.h"
 
 namespace mphls::json {
 
@@ -79,10 +84,10 @@ class Parser {
       case '"':
         return string();
       case 't':
-        if (literal("true")) return make(Node::Kind::Bool, true);
+        if (literal("true")) return std::make_unique<Node>(true);
         return fail("bad literal");
       case 'f':
-        if (literal("false")) return make(Node::Kind::Bool, false);
+        if (literal("false")) return std::make_unique<Node>(false);
         return fail("bad literal");
       case 'n':
         if (literal("null")) return std::make_unique<Node>();
@@ -92,17 +97,9 @@ class Parser {
     }
   }
 
-  static std::unique_ptr<Node> make(Node::Kind k, bool b) {
-    auto n = std::make_unique<Node>();
-    n->kind_ = k;
-    n->bool_ = b;
-    return n;
-  }
-
   std::unique_ptr<Node> object(int depth) {
     ++pos_;  // '{'
-    auto n = std::make_unique<Node>();
-    n->kind_ = Node::Kind::Object;
+    auto n = std::make_unique<Node>(Node::object());
     skipWs();
     if (!eof() && peek() == '}') {
       ++pos_;
@@ -133,8 +130,7 @@ class Parser {
 
   std::unique_ptr<Node> array(int depth) {
     ++pos_;  // '['
-    auto n = std::make_unique<Node>();
-    n->kind_ = Node::Kind::Array;
+    auto n = std::make_unique<Node>(Node::array());
     skipWs();
     if (!eof() && peek() == ']') {
       ++pos_;
@@ -194,11 +190,20 @@ class Parser {
 
   std::unique_ptr<Node> string() {
     ++pos_;  // '"'
-    auto n = std::make_unique<Node>();
-    n->kind_ = Node::Kind::String;
+    auto n = std::make_unique<Node>(std::string());
     std::string& out = n->str_;
     while (!eof()) {
-      const char c = text_[pos_++];
+      const char c = peek();
+      if (static_cast<unsigned char>(c) >= 0x80) {
+        // Raw bytes must form valid UTF-8: the same decoder the escaper
+        // uses, so whatever the reader accepts dumps back unchanged.
+        const std::size_t len = obs::utf8SequenceLength(text_, pos_);
+        if (len == 0) return fail("invalid UTF-8 in string");
+        out.append(text_.substr(pos_, len));
+        pos_ += len;
+        continue;
+      }
+      ++pos_;
       if (c == '"') return n;
       if (static_cast<unsigned char>(c) < 0x20)
         return fail("raw control character in string");
@@ -261,11 +266,8 @@ class Parser {
       while (!eof() && peek() >= '0' && peek() <= '9') ++pos_;
       if (pos_ == exp) return fail("missing exponent digits");
     }
-    auto n = std::make_unique<Node>();
-    n->kind_ = Node::Kind::Number;
-    n->num_ = std::strtod(std::string(text_.substr(start, pos_ - start)).c_str(),
-                          nullptr);
-    return n;
+    return std::make_unique<Node>(std::strtod(
+        std::string(text_.substr(start, pos_ - start)).c_str(), nullptr));
   }
 
   std::string_view text_;
@@ -304,6 +306,118 @@ double Node::getNumber(std::string_view key, double dflt) const {
 bool Node::getBool(std::string_view key, bool dflt) const {
   const Node* n = get(key);
   return n && n->isBool() ? n->bool_ : dflt;
+}
+
+Node Node::object() {
+  Node v;
+  v.kind_ = Kind::Object;
+  return v;
+}
+
+Node Node::array() {
+  Node v;
+  v.kind_ = Kind::Array;
+  return v;
+}
+
+Node& Node::operator[](std::string_view key) {
+  if (kind_ == Kind::Null) kind_ = Kind::Object;
+  for (auto& [k, v] : members_)
+    if (k == key) return *v;
+  members_.emplace_back(std::string(key), std::make_unique<Node>());
+  return *members_.back().second;
+}
+
+Node& Node::push(Node v) {
+  if (kind_ == Kind::Null) kind_ = Kind::Array;
+  items_.push_back(std::make_unique<Node>(std::move(v)));
+  return *items_.back();
+}
+
+namespace {
+
+void appendNumber(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    out += "null";  // JSON has no inf/nan
+    return;
+  }
+  if (v == std::floor(v) && std::fabs(v) < 1e15) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.0f", v);
+    out += buf;
+    return;
+  }
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  // Prefer the shortest representation that round-trips.
+  for (int prec = 6; prec < 17; ++prec) {
+    char probe[40];
+    std::snprintf(probe, sizeof probe, "%.*g", prec, v);
+    double back = 0;
+    std::sscanf(probe, "%lf", &back);
+    if (back == v) {
+      out += probe;
+      return;
+    }
+  }
+  out += buf;
+}
+
+}  // namespace
+
+void Node::dumpTo(std::string& out, int depth) const {
+  const std::string pad(static_cast<std::size_t>(depth) * 2, ' ');
+  const std::string padIn(static_cast<std::size_t>(depth + 1) * 2, ' ');
+  switch (kind_) {
+    case Kind::Null: out += "null"; break;
+    case Kind::Bool: out += bool_ ? "true" : "false"; break;
+    case Kind::Number: appendNumber(out, num_); break;
+    case Kind::String: obs::appendJsonString(out, str_); break;
+    case Kind::Array:
+      if (items_.empty()) {
+        out += "[]";
+        break;
+      }
+      out += "[\n";
+      for (std::size_t i = 0; i < items_.size(); ++i) {
+        out += padIn;
+        items_[i]->dumpTo(out, depth + 1);
+        if (i + 1 < items_.size()) out += ',';
+        out += '\n';
+      }
+      out += pad + "]";
+      break;
+    case Kind::Object:
+      if (members_.empty()) {
+        out += "{}";
+        break;
+      }
+      out += "{\n";
+      for (std::size_t i = 0; i < members_.size(); ++i) {
+        out += padIn;
+        obs::appendJsonString(out, members_[i].first);
+        out += ": ";
+        members_[i].second->dumpTo(out, depth + 1);
+        if (i + 1 < members_.size()) out += ',';
+        out += '\n';
+      }
+      out += pad + "}";
+      break;
+  }
+}
+
+std::string Node::dump() const {
+  std::string out;
+  dumpTo(out, 0);
+  out += '\n';
+  return out;
+}
+
+bool writeFile(const std::string& path, const Node& doc) {
+  std::ofstream out(path);
+  if (!out) return false;
+  out << doc.dump();
+  return static_cast<bool>(out);
 }
 
 }  // namespace mphls::json

@@ -1,15 +1,19 @@
-// Minimal JSON reader: the parsing counterpart of the JsonValue builder in
-// bench_report.h. The serve daemon decodes request bodies with it, the
-// load generator reads the daemon's /metrics snapshot back, and the test
-// battery uses it to assert that every daemon response is well-formed
-// JSON. Zero-dependency (std only) by design, like everything under obs/
-// and common/.
+// JSON for the whole system: parse, build, dump. json::Node is the one
+// JSON value type. The serve daemon decodes request bodies with the
+// reader, the load generator reads the daemon's /metrics snapshot back,
+// and the test battery asserts that every daemon response is well-formed
+// JSON. The synth, sta and sim reports, serve's /designs and the fuzz,
+// bench and loadgen reports are Nodes built in code and written with
+// dump(). Zero-dependency (std + obs/) by design, like everything under
+// obs/ and common/.
 //
 // Scope: full RFC 8259 value grammar (null, bool, number, string with
 // \uXXXX escapes decoded to UTF-8, array, object), strict — trailing
-// garbage, unbalanced brackets, bad escapes and bare words all fail.
-// Numbers are held as double (the builder side emits doubles too), and
-// object members preserve insertion order with first-key-wins lookup.
+// garbage, unbalanced brackets, bad escapes, bare words and invalid UTF-8
+// inside strings all fail. Numbers are held as double, and object members
+// preserve insertion order with first-key-wins lookup. dump() escapes
+// every string through obs::appendJsonString, so its output is valid
+// UTF-8 whatever bytes the strings hold.
 #pragma once
 
 #include <cstddef>
@@ -39,12 +43,38 @@ struct ParseError {
 /// True iff `text` is one well-formed JSON document.
 [[nodiscard]] bool valid(std::string_view text);
 
-/// One parsed JSON value. Accessors are total: asking an object for a
-/// missing key or a number for its string returns a default instead of
-/// throwing, so response-shape checks read as straight-line code.
+/// One JSON value. Accessors are total: asking an object for a missing
+/// key or a number for its string returns a default instead of throwing,
+/// so response-shape checks read as straight-line code. Builders are
+/// implicit conversions plus operator[] and push, so report code reads
+/// as `j["cycles"] = n;`. Move-only; children are owned.
 class Node {
  public:
   enum class Kind { Null, Bool, Number, String, Array, Object };
+
+  Node() = default;
+  Node(bool b) : kind_(Kind::Bool), bool_(b) {}
+  Node(int v) : kind_(Kind::Number), num_(v) {}
+  Node(long v) : kind_(Kind::Number), num_(static_cast<double>(v)) {}
+  Node(std::size_t v) : kind_(Kind::Number), num_(static_cast<double>(v)) {}
+  Node(double v) : kind_(Kind::Number), num_(v) {}
+  Node(const char* s) : kind_(Kind::String), str_(s) {}
+  Node(std::string s) : kind_(Kind::String), str_(std::move(s)) {}
+
+  [[nodiscard]] static Node object();
+  [[nodiscard]] static Node array();
+
+  /// Object access; inserts a null member on first use. Converts a null
+  /// value into an object. The reference stays valid as members are added.
+  Node& operator[](std::string_view key);
+
+  /// Array append. Converts a null value into an array.
+  Node& push(Node v);
+
+  /// Serialize with 2-space indentation and a trailing newline at the top
+  /// level. Integral numbers print without a fraction, other doubles with
+  /// the fewest digits that round-trip, non-finite values as null.
+  [[nodiscard]] std::string dump() const;
 
   [[nodiscard]] Kind kind() const { return kind_; }
   [[nodiscard]] bool isNull() const { return kind_ == Kind::Null; }
@@ -90,8 +120,9 @@ class Node {
   [[nodiscard]] bool getBool(std::string_view key, bool dflt = false) const;
 
  private:
-  friend std::unique_ptr<Node> parseOrError(std::string_view, ParseError&);
   friend class Parser;
+
+  void dumpTo(std::string& out, int depth) const;
 
   Kind kind_ = Kind::Null;
   bool bool_ = false;
@@ -100,5 +131,8 @@ class Node {
   std::vector<std::unique_ptr<Node>> items_;
   std::vector<std::pair<std::string, std::unique_ptr<Node>>> members_;
 };
+
+/// Write `doc.dump()` to `path`; returns false on I/O failure.
+bool writeFile(const std::string& path, const Node& doc);
 
 }  // namespace mphls::json

@@ -4,7 +4,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "common/bench_report.h"
 #include "common/json_reader.h"
 
 namespace mphls {
@@ -189,8 +188,8 @@ std::string findReport(const std::vector<std::string>& dirs,
 }  // namespace
 
 int runBenchCheck(const BenchCheckOptions& opts) {
-  JsonValue verdict = JsonValue::object();
-  JsonValue files = JsonValue::array();
+  json::Node verdict = json::Node::object();
+  json::Node files = json::Node::array();
   int comparedFiles = 0;
   int passed = 0;
   int failed = 0;
@@ -198,7 +197,7 @@ int runBenchCheck(const BenchCheckOptions& opts) {
 
   for (const char* file : kReportFiles) {
     const std::string reportPath = findReport(opts.inDirs, file);
-    JsonValue fj = JsonValue::object();
+    json::Node fj = json::Node::object();
     fj["file"] = std::string(file);
     if (reportPath.empty()) {
       fj["status"] = std::string("not_found");
@@ -224,14 +223,14 @@ int runBenchCheck(const BenchCheckOptions& opts) {
     fj["status"] = std::string("compared");
     fj["report"] = reportPath;
     fj["baseline"] = static_cast<bool>(baseline);
-    JsonValue checks = JsonValue::array();
+    json::Node checks = json::Node::array();
     for (const Rule& rule : kRules) {
       if (std::string_view(rule.file) != file) continue;
       const CheckResult r = evaluate(rule, *report, baseline.get());
       const bool baselineRelative = rule.kind == RuleKind::LowerBetter ||
                                     rule.kind == RuleKind::HigherBetter ||
                                     rule.kind == RuleKind::Equal;
-      JsonValue cj = JsonValue::object();
+      json::Node cj = json::Node::object();
       cj["metric"] = std::string(rule.path);
       cj["kind"] = std::string(ruleKindName(rule.kind));
       if (baselineRelative && !r.haveBaseline) {
@@ -259,10 +258,7 @@ int runBenchCheck(const BenchCheckOptions& opts) {
   verdict["failed"] = failed;
   verdict["skipped_no_baseline"] = skippedNoBaseline;
   verdict["ok"] = ok;
-  if (!opts.outFile.empty()) {
-    std::ofstream out(opts.outFile);
-    if (out) out << verdict.dump();
-  }
+  if (!opts.outFile.empty()) (void)json::writeFile(opts.outFile, verdict);
   if (comparedFiles == 0)
     std::fprintf(stderr,
                  "bench --check: no BENCH_*.json found in the input "

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/bench_report.h"
+#include "common/json_reader.h"
 #include "common/thread_pool.h"
 #include "core/designs.h"
 #include "core/dse.h"
@@ -64,7 +65,7 @@ bool sameSchedule(const BlockSchedule& a, const BlockSchedule& b) {
 /// re-optimizes the source before synthesizing. The frontend-cache speedup
 /// in the report is measured against this.
 double timeLegacySweep(const std::string& source, int points, int repeats) {
-  return BenchReporter::timeBest(repeats, [&] {
+  return timeBest(repeats, [&] {
     for (int n = 1; n <= points; ++n) {
       SynthesisOptions opts;
       opts.scheduler = SchedulerKind::List;
@@ -77,7 +78,7 @@ double timeLegacySweep(const std::string& source, int points, int repeats) {
 
 double timeSweep(const std::string& source, int points, int jobs,
                  int repeats) {
-  return BenchReporter::timeBest(repeats, [&] {
+  return timeBest(repeats, [&] {
     SynthesisOptions base;
     base.jobs = jobs;
     (void)exploreResourceSweep(source, points, base);
@@ -95,12 +96,13 @@ int runBenchSuite(const BenchOptions& opts) {
                                  : opts.jobs;
 
   // ---------------------------------------------------------------- DSE
-  BenchReporter dse("dse_resource_sweep");
-  dse.root()["design"] = "diffeq";
-  dse.root()["points"] = opts.points;
-  dse.root()["jobs"] = jobs;
-  dse.root()["repeats"] = opts.repeats;
-  dse.root()["hardware_threads"] = ThreadPool::hardwareConcurrency();
+  json::Node dse = json::Node::object();
+  dse["benchmark"] = "dse_resource_sweep";
+  dse["design"] = "diffeq";
+  dse["points"] = opts.points;
+  dse["jobs"] = jobs;
+  dse["repeats"] = opts.repeats;
+  dse["hardware_threads"] = ThreadPool::hardwareConcurrency();
 
   // Determinism first (also warms the frontend cache): the serial and the
   // parallel sweep must agree byte for byte, Verilog included.
@@ -113,35 +115,30 @@ int runBenchSuite(const BenchOptions& opts) {
   bool sameVerilog = serialPts.size() == parallelPts.size();
   for (std::size_t i = 0; sameVerilog && i < serialPts.size(); ++i)
     sameVerilog = samePoint(serialPts[i], parallelPts[i]);
-  dse.root()["deterministic"] =
-      renderPoints(serialPts) == renderPoints(parallelPts);
-  dse.root()["verilog_identical"] = sameVerilog;
+  dse["deterministic"] = renderPoints(serialPts) == renderPoints(parallelPts);
+  dse["verilog_identical"] = sameVerilog;
 
   const double legacySec = timeLegacySweep(src, opts.points, opts.repeats);
   const double serialSec = timeSweep(src, opts.points, 1, opts.repeats);
   const double parallelSec = timeSweep(src, opts.points, jobs, opts.repeats);
-  dse.root()["wall_seconds_legacy"] = legacySec;
-  dse.root()["wall_seconds_jobs1"] = serialSec;
-  dse.root()["wall_seconds"] = parallelSec;
-  dse.root()["points_per_sec_jobs1"] =
-      serialSec > 0 ? opts.points / serialSec : 0.0;
-  dse.root()["points_per_sec"] =
-      parallelSec > 0 ? opts.points / parallelSec : 0.0;
-  dse.root()["speedup_vs_1_thread"] =
-      parallelSec > 0 ? serialSec / parallelSec : 0.0;
-  dse.root()["speedup_vs_legacy"] =
-      parallelSec > 0 ? legacySec / parallelSec : 0.0;
+  dse["wall_seconds_legacy"] = legacySec;
+  dse["wall_seconds_jobs1"] = serialSec;
+  dse["wall_seconds"] = parallelSec;
+  dse["points_per_sec_jobs1"] = serialSec > 0 ? opts.points / serialSec : 0.0;
+  dse["points_per_sec"] = parallelSec > 0 ? opts.points / parallelSec : 0.0;
+  dse["speedup_vs_1_thread"] = parallelSec > 0 ? serialSec / parallelSec : 0.0;
+  dse["speedup_vs_legacy"] = parallelSec > 0 ? legacySec / parallelSec : 0.0;
 
   // Per-point wall times from the determinism runs (diagnostics).
-  JsonValue& ptArr = dse.root()["point_wall_seconds"] = JsonValue::array();
+  json::Node& ptArr = dse["point_wall_seconds"] = json::Node::array();
   for (const auto& p : parallelPts) ptArr.push(p.wallSeconds);
 
   // Which thread ran each point: the pool worker index plus its tracer
   // track identity (named "dse-<worker>" by the pool, "thread-0" for the
   // serial path on the caller's thread).
-  JsonValue& thrArr = dse.root()["point_threads"] = JsonValue::array();
+  json::Node& thrArr = dse["point_threads"] = json::Node::array();
   for (const auto& p : parallelPts) {
-    JsonValue t = JsonValue::object();
+    json::Node t = json::Node::object();
     t["worker"] = p.threadId;
     t["tid"] = p.traceTid;
     t["name"] = p.threadName;
@@ -152,7 +149,7 @@ int runBenchSuite(const BenchOptions& opts) {
   {
     Synthesizer synth(options::defaults());
     SynthesisResult r = synth.synthesizeSource(src);
-    JsonValue& st = dse.root()["stage_seconds"] = JsonValue::object();
+    json::Node& st = dse["stage_seconds"] = json::Node::object();
     st["optimize"] = r.stages.optimize;
     st["schedule"] = r.stages.schedule;
     st["allocate"] = r.stages.allocate;
@@ -169,27 +166,27 @@ int runBenchSuite(const BenchOptions& opts) {
     base.jobs = jobs;
     WallTimer t;
     auto chippe = chippeIterate(src, serialPts.back().latencySteps, 8, base);
-    dse.root()["chippe_wall_seconds"] = t.seconds();
-    dse.root()["chippe_points"] = chippe.size();
+    dse["chippe_wall_seconds"] = t.seconds();
+    dse["chippe_points"] = chippe.size();
     t.reset();
     auto times = exploreTimeSweep(src, 4, base);
-    dse.root()["time_sweep_wall_seconds"] = t.seconds();
-    dse.root()["time_sweep_points"] = times.size();
+    dse["time_sweep_wall_seconds"] = t.seconds();
+    dse["time_sweep_points"] = times.size();
   }
 
   // Unified metrics: the same registry snapshot --stats would export, so
   // bench JSON and metrics JSON can never disagree on the counters.
   {
     const auto snap = obs::MetricsRegistry::global().snapshot();
-    JsonValue& metrics = dse.root()["metrics"] = JsonValue::object();
-    JsonValue& counters = metrics["counters"] = JsonValue::object();
+    json::Node& metrics = dse["metrics"] = json::Node::object();
+    json::Node& counters = metrics["counters"] = json::Node::object();
     for (const auto& [name, v] : snap.counters)
       counters[name] = (std::size_t)v;
-    JsonValue& gauges = metrics["gauges"] = JsonValue::object();
+    json::Node& gauges = metrics["gauges"] = json::Node::object();
     for (const auto& [name, v] : snap.gauges) gauges[name] = v;
-    JsonValue& hists = metrics["histograms"] = JsonValue::object();
+    json::Node& hists = metrics["histograms"] = json::Node::object();
     for (const auto& [name, h] : snap.histograms) {
-      JsonValue hv = JsonValue::object();
+      json::Node hv = json::Node::object();
       hv["count"] = (std::size_t)h.count;
       hv["sum"] = h.sum;
       hv["min"] = h.min;
@@ -200,7 +197,7 @@ int runBenchSuite(const BenchOptions& opts) {
   }
 
   const std::string dsePath = opts.outDir + sep + "BENCH_dse.json";
-  if (!dse.writeFile(dsePath)) {
+  if (!json::writeFile(dsePath, dse)) {
     std::fprintf(stderr, "mphls bench: cannot write %s\n", dsePath.c_str());
     return 1;
   }
@@ -210,8 +207,9 @@ int runBenchSuite(const BenchOptions& opts) {
                 legacySec / parallelSec);
 
   // ---------------------------------------------------------- scheduler
-  BenchReporter sched("force_directed_incremental");
-  JsonValue& cases = sched.root()["cases"] = JsonValue::array();
+  json::Node sched = json::Node::object();
+  sched["benchmark"] = "force_directed_incremental";
+  json::Node& cases = sched["cases"] = json::Node::array();
   double worstSpeedup = -1;
   bool allEqual = true;
 
@@ -242,15 +240,15 @@ int runBenchSuite(const BenchOptions& opts) {
     const bool equal = sameSchedule(inc, ref);
     allEqual = allEqual && equal;
 
-    const double incSec = BenchReporter::timeBest(
+    const double incSec = timeBest(
         opts.repeats, [&] { (void)forceDirectedSchedule(deps, horizon); });
-    const double refSec = BenchReporter::timeBest(opts.repeats, [&] {
+    const double refSec = timeBest(opts.repeats, [&] {
       (void)forceDirectedScheduleReference(deps, horizon);
     });
     const double speedup = incSec > 0 ? refSec / incSec : 0.0;
     if (worstSpeedup < 0 || speedup < worstSpeedup) worstSpeedup = speedup;
 
-    JsonValue cs = JsonValue::object();
+    json::Node cs = json::Node::object();
     cs["name"] = c.name;
     cs["ops"] = deps.numOps();
     cs["horizon"] = horizon;
@@ -265,12 +263,12 @@ int runBenchSuite(const BenchOptions& opts) {
                   c.name.c_str(), deps.numOps(), speedup,
                   equal ? "identical schedules" : "SCHEDULES DIFFER");
   }
-  sched.root()["all_equal"] = allEqual;
-  sched.root()["min_speedup"] = worstSpeedup;
-  sched.root()["repeats"] = opts.repeats;
+  sched["all_equal"] = allEqual;
+  sched["min_speedup"] = worstSpeedup;
+  sched["repeats"] = opts.repeats;
 
   const std::string schedPath = opts.outDir + sep + "BENCH_sched.json";
-  if (!sched.writeFile(schedPath)) {
+  if (!json::writeFile(schedPath, sched)) {
     std::fprintf(stderr, "mphls bench: cannot write %s\n",
                  schedPath.c_str());
     return 1;
@@ -284,9 +282,10 @@ int runStaBenchSuite(const BenchOptions& opts) {
                               ? ""
                               : "/";
   WallTimer timer;
-  BenchReporter rep("sta_analysis");
-  rep.root()["repeats"] = opts.repeats;
-  JsonValue& arr = rep.root()["designs"] = JsonValue::array();
+  json::Node rep = json::Node::object();
+  rep["benchmark"] = "sta_analysis";
+  rep["repeats"] = opts.repeats;
+  json::Node& arr = rep["designs"] = json::Node::array();
 
   double worstSlack = 0.0;
   bool closed = true;
@@ -295,10 +294,10 @@ int runStaBenchSuite(const BenchOptions& opts) {
     SynthesisResult res = synth.synthesizeSource(d.source);
 
     sta::StaResult r = sta::runSta(res.design);
-    const double sec = BenchReporter::timeBest(
+    const double sec = timeBest(
         opts.repeats, [&] { (void)sta::runSta(res.design); });
 
-    JsonValue e = JsonValue::object();
+    json::Node e = json::Node::object();
     e["name"] = d.name;
     e["states"] = r.totalStates;
     e["reachable_states"] = r.reachableStates;
@@ -324,12 +323,12 @@ int runStaBenchSuite(const BenchOptions& opts) {
                   d.name, r.reachableStates, r.endpointCount,
                   r.cycleTime, r.worstSlack, sec * 1e6);
   }
-  rep.root()["all_closed"] = closed;
-  rep.root()["worst_slack"] = worstSlack;
-  rep.root()["wall_seconds"] = timer.seconds();
+  rep["all_closed"] = closed;
+  rep["worst_slack"] = worstSlack;
+  rep["wall_seconds"] = timer.seconds();
 
   const std::string staPath = opts.outDir + sep + "BENCH_sta.json";
-  if (!rep.writeFile(staPath)) {
+  if (!json::writeFile(staPath, rep)) {
     std::fprintf(stderr, "mphls bench: cannot write %s\n", staPath.c_str());
     return 1;
   }

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "check/check.h"
-#include "common/bench_report.h"
 #include "common/diag.h"
 #include "core/frontend_cache.h"
 #include "obs/trace.h"
@@ -92,7 +91,7 @@ Result synthJson(const Request& req) {
   const SynthesisResult& r = *res;
   const RtlDesign& d = r.design;
 
-  JsonValue j = JsonValue::object();
+  json::Node j = json::Node::object();
   j["file"] = req.name;
   j["design"] = d.fn.name();
   j["scheduler"] = std::string(schedulerName(req.opts.scheduler));
@@ -101,7 +100,7 @@ Result synthJson(const Request& req) {
   j["blocks"] = d.fn.numBlocks();
   j["static_latency"] = r.staticLatency();
   j["registers"] = d.regs.numRegs;
-  JsonValue fus = JsonValue::array();
+  json::Node fus = json::Node::array();
   for (int f = 0; f < d.binding.numFus(); ++f)
     fus.push(d.lib.component(d.binding.fus[(std::size_t)f].comp).name);
   j["fus"] = std::move(fus);
@@ -163,12 +162,12 @@ Result analyzeJson(const Request& req, bool postPipeline) {
   return {reportJson("file", req.name, report) + "\n", report.clean(), false};
 }
 
-JsonValue staJsonValue(const std::string& key, const std::string& name,
+json::Node staJsonNode(const std::string& key, const std::string& name,
                        const StaReport& r) {
-  JsonValue j = sta::staReportJson(key, name, r.timing);
-  JsonValue diags = JsonValue::array();
+  json::Node j = sta::staReportJson(key, name, r.timing);
+  json::Node diags = json::Node::array();
   for (const CheckDiag& dg : r.lint.sorted()) {
-    JsonValue o = JsonValue::object();
+    json::Node o = json::Node::object();
     o["severity"] = std::string(checkSeverityName(dg.severity));
     o["code"] = dg.id;
     o["where"] = dg.where;
@@ -207,7 +206,7 @@ Outcome<StaReport> staReport(const Request& req, double clockNs,
 Result staJson(const Request& req, double clockNs, int maxPaths) {
   const Outcome<StaReport> o = staReport(req, clockNs, maxPaths);
   if (!o.value) return errorResult(req.name, o.failure);
-  return {staJsonValue("file", req.name, *o.value).dump(),
+  return {staJsonNode("file", req.name, *o.value).dump(),
           o.value->lint.clean(), false};
 }
 
@@ -286,13 +285,13 @@ Result simJson(const Request& req,
   } catch (const std::exception& e) {
     return errorResult(req.name, {e.what(), false});
   }
-  JsonValue j = JsonValue::object();
+  json::Node j = json::Node::object();
   j["file"] = req.name;
   j["design"] = d.fn.name();
-  JsonValue jin = JsonValue::object();
+  json::Node jin = json::Node::object();
   for (const auto& [k, v] : in) jin[k] = (double)v;
   j["inputs"] = std::move(jin);
-  JsonValue jout = JsonValue::object();
+  json::Node jout = json::Node::object();
   for (const auto& [k, v] : res.outputs) jout[k] = (double)v;
   j["outputs"] = std::move(jout);
   j["cycles"] = (long)res.cycles;

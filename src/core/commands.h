@@ -21,7 +21,7 @@
 #include <string>
 
 #include "check/report.h"
-#include "common/bench_report.h"
+#include "common/json_reader.h"
 #include "core/synthesizer.h"
 #include "sta/sta.h"
 
@@ -134,11 +134,11 @@ struct ProveReport {
                                      const std::string& name,
                                      const CheckReport& rep);
 
-/// One sta report as a JsonValue: the StaResult plus the timing lint's
+/// One sta report as a json::Node: the StaResult plus the timing lint's
 /// findings in the lint/prove diagnostics convention (sorted/deduped).
 /// Exposed so the CLI's `sta --builtins --format json` array uses the
 /// same element renderer as staJson.
-[[nodiscard]] JsonValue staJsonValue(const std::string& key,
+[[nodiscard]] json::Node staJsonNode(const std::string& key,
                                      const std::string& name,
                                      const StaReport& r);
 

@@ -218,7 +218,7 @@ SynthesisResult Synthesizer::backend(Function fn, StageTimes st) {
 
 std::string verifyAgainstBehavior(
     const SynthesisResult& result,
-    const std::map<std::string, std::uint64_t>& inputs) {
+    const std::map<std::string, std::uint64_t>& inputs, RtlExecResult* rtl) {
   // Both sides run on the bytecode VM engines (default mode), which also
   // sample interpreter cross-checks; a divergence is reported verbatim.
   ExecResult want;
@@ -233,6 +233,7 @@ std::string verifyAgainstBehavior(
   } catch (const vm::DivergenceError& e) {
     return e.what();
   }
+  if (rtl != nullptr) *rtl = got;
   if (!got.finished) return "RTL simulation did not reach the halt state";
 
   if (want.outputs != got.outputs) {

@@ -30,6 +30,8 @@
 
 namespace mphls {
 
+struct RtlExecResult;
+
 enum class SchedulerKind {
   Serial,         ///< one op per step (the paper's trivial case)
   Asap,           ///< resource-constrained ASAP (Fig. 3)
@@ -89,7 +91,7 @@ struct SynthesisOptions {
 
 /// Wall-clock seconds spent in each pipeline stage of one synthesis run,
 /// recorded unconditionally (the clock costs nanoseconds per stage) so
-/// BenchReporter can break down where synthesis time goes.
+/// the bench reports can break down where synthesis time goes.
 struct StageTimes {
   double optimize = 0;   ///< high-level transformation passes
   double schedule = 0;   ///< control-step assignment
@@ -172,9 +174,12 @@ class Synthesizer {
 /// Check behavior preservation end to end: run the behavioral interpreter
 /// and the RTL simulator on the same inputs and compare outputs. Returns an
 /// empty string on agreement, else a description of the mismatch. This is
-/// the paper's "design verification" obligation (Section 4).
+/// the paper's "design verification" obligation (Section 4). When `rtl` is
+/// given it receives the RTL run (cycles, outputs) once the simulation
+/// has completed.
 [[nodiscard]] std::string verifyAgainstBehavior(
     const SynthesisResult& result,
-    const std::map<std::string, std::uint64_t>& inputs);
+    const std::map<std::string, std::uint64_t>& inputs,
+    RtlExecResult* rtl = nullptr);
 
 }  // namespace mphls

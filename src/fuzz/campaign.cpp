@@ -9,6 +9,7 @@
 #include <sstream>
 #include <thread>
 
+#include "common/bench_report.h"
 #include "common/thread_pool.h"
 #include "fuzz/corpus.h"
 #include "obs/log.h"
@@ -229,10 +230,10 @@ ReplayResult replayCorpus(const std::string& dir, const DiffOptions& diff,
   return result;
 }
 
-JsonValue campaignReport(const CampaignOptions& options,
-                         const CampaignResult& result,
-                         const std::string& matrixName) {
-  JsonValue root = JsonValue::object();
+json::Node campaignReport(const CampaignOptions& options,
+                          const CampaignResult& result,
+                          const std::string& matrixName) {
+  json::Node root = json::Node::object();
   root["benchmark"] = "fuzz_campaign";
   root["seed_base"] = (std::size_t)options.seedBase;
   root["seeds"] = result.seeds;
@@ -258,9 +259,9 @@ JsonValue campaignReport(const CampaignOptions& options,
   root["cosims_per_sec"] = result.wallSeconds > 0
                                ? result.simulations / result.wallSeconds
                                : 0.0;
-  JsonValue failures = JsonValue::array();
+  json::Node failures = json::Node::array();
   for (const FailureCase& fc : result.failures) {
-    JsonValue f = JsonValue::object();
+    json::Node f = json::Node::object();
     f["seed"] = (std::size_t)fc.verdict.seed;
     f["first_kind"] = fc.verdict.failures.front().kind;
     f["first_point"] = fc.verdict.failures.front().pointLabel();

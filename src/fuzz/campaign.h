@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "common/bench_report.h"
+#include "common/json_reader.h"
 #include "fuzz/bdl_gen.h"
 #include "fuzz/diff_runner.h"
 #include "fuzz/reduce.h"
@@ -94,10 +94,10 @@ struct ReplayResult {
                                         const DiffOptions& diff,
                                         int jobs = 1);
 
-/// BenchReporter-style JSON summary of a campaign (schema documented in
-/// README "Differential fuzzing").
-[[nodiscard]] JsonValue campaignReport(const CampaignOptions& options,
-                                       const CampaignResult& result,
-                                       const std::string& matrixName);
+/// JSON summary of a campaign in the bench-report style (schema
+/// documented in README "Differential fuzzing").
+[[nodiscard]] json::Node campaignReport(const CampaignOptions& options,
+                                        const CampaignResult& result,
+                                        const std::string& matrixName);
 
 }  // namespace mphls::fuzz

@@ -357,10 +357,8 @@ ProgramVerdict runSource(const std::string& source, std::uint64_t seed,
     }
     // The semantic lints only warn, so no verdict depends on them; they
     // run once per distinct function to catch analyzer crashes.
-    if (options.check) {
-      CheckReport semantics;
-      checkSemantics(*fn, semantics);
-    }
+    CheckReport semantics;
+    checkSemantics(*fn, semantics);
     fronts.emplace(key, fn);
     return fn;
   };
@@ -389,54 +387,52 @@ ProgramVerdict runSource(const std::string& source, std::uint64_t seed,
       if (options.postSynthesis) options.postSynthesis(r, p);
       ++v.pointsRun;
 
-      if (options.check) {
-        // STA oracle, before the structural checks so its failures keep
-        // their own kinds: the timing engine must not crash on any
-        // generated design, must close timing at its own estimated clock,
-        // and must agree with the estimator it cross-validates.
-        bool staFailed = false;
-        try {
-          if (changed) r.sta = sta::runSta(r.design);
-          const sta::StaResult& sr = r.sta;
-          if (std::fabs(sr.cycleTime - sr.estimatedCycleTime) > 1e-6) {
-            std::ostringstream oss;
-            oss << "STA cycle time " << sr.cycleTime
-                << " != estimateTiming " << sr.estimatedCycleTime;
-            fail("sta-divergence", oss.str());
-            staFailed = true;
-          } else if (sr.worstSlack < -1e-9 || sr.combLoop) {
-            fail("sta-negative-slack",
-                 sr.combLoop ? "combinational loop in timing graph"
-                             : sr.paths.empty()
-                                   ? "negative slack"
-                                   : sr.paths.front().describe());
-            staFailed = true;
-          }
-        } catch (const std::exception& e) {
-          fail("sta-crash", e.what());
+      // STA oracle, before the structural checks so its failures keep
+      // their own kinds: the timing engine must not crash on any
+      // generated design, must close timing at its own estimated clock,
+      // and must agree with the estimator it cross-validates.
+      bool staFailed = false;
+      try {
+        if (changed) r.sta = sta::runSta(r.design);
+        const sta::StaResult& sr = r.sta;
+        if (std::fabs(sr.cycleTime - sr.estimatedCycleTime) > 1e-6) {
+          std::ostringstream oss;
+          oss << "STA cycle time " << sr.cycleTime
+              << " != estimateTiming " << sr.estimatedCycleTime;
+          fail("sta-divergence", oss.str());
+          staFailed = true;
+        } else if (sr.worstSlack < -1e-9 || sr.combLoop) {
+          fail("sta-negative-slack",
+               sr.combLoop ? "combinational loop in timing graph"
+                           : sr.paths.empty()
+                                 ? "negative slack"
+                                 : sr.paths.front().describe());
           staFailed = true;
         }
-        if (staFailed) {
-          if (options.stopAtFirstFailure) return v;
-          continue;
-        }
+      } catch (const std::exception& e) {
+        fail("sta-crash", e.what());
+        staFailed = true;
+      }
+      if (staFailed) {
+        if (options.stopAtFirstFailure) return v;
+        continue;
+      }
 
-        // The netlist lint, plus the stage analyzers for a changed design
-        // (the oracle above covers timing, the frontend the semantics).
-        CheckOptions co;
-        co.resources = p.resourceLimited()
-                           ? ResourceLimits::universalSet(p.fus)
-                           : ResourceLimits::unlimited();
-        co.latencies = lat;
-        co.schedule = co.binding = co.controller = changed;
-        co.semantics = false;
-        co.timing = false;
-        CheckReport rep = checkDesign(r.design, co);
-        if (!rep.clean()) {
-          fail("check", rep.firstError());
-          if (options.stopAtFirstFailure) return v;
-          continue;
-        }
+      // The netlist lint, plus the stage analyzers for a changed design
+      // (the oracle above covers timing, the frontend the semantics).
+      CheckOptions co;
+      co.resources = p.resourceLimited()
+                         ? ResourceLimits::universalSet(p.fus)
+                         : ResourceLimits::unlimited();
+      co.latencies = lat;
+      co.schedule = co.binding = co.controller = changed;
+      co.semantics = false;
+      co.timing = false;
+      CheckReport rep = checkDesign(r.design, co);
+      if (!rep.clean()) {
+        fail("check", rep.firstError());
+        if (options.stopAtFirstFailure) return v;
+        continue;
       }
 
       // One engine per point: the bytecode program is compiled once here

@@ -173,9 +173,6 @@ struct ProgramVerdict {
 struct DiffOptions {
   std::vector<MatrixPoint> points = FuzzMatrix::standard().points();
   int trials = 4;
-  /// Run the STA oracle, the netlist lint and the semantic lints on every
-  /// synthesized point (the synthesizer's stage exits always run).
-  bool check = true;
   /// Stop at the first failing point/trial (used by the reducer, where
   /// only "still fails" matters, not the full failure inventory).
   bool stopAtFirstFailure = false;

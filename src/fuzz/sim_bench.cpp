@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/bench_report.h"
+#include "common/json_reader.h"
 #include "core/designs.h"
 #include "core/options.h"
 #include "core/synthesizer.h"
@@ -34,7 +35,7 @@ double calibratedBest(int repeats, long& batch,
     if (t.seconds() >= 0.02 || batch >= (1L << 22)) break;
     batch *= 2;
   }
-  return BenchReporter::timeBest(repeats, [&] {
+  return timeBest(repeats, [&] {
     for (long i = 0; i < batch; ++i) once();
   });
 }
@@ -50,8 +51,9 @@ double geomean(const std::vector<double>& xs) {
 
 int runSimBenchSuite(const SimBenchOptions& options) {
   WallTimer total;
-  BenchReporter rep("sim_throughput");
-  rep.root()["repeats"] = options.repeats;
+  json::Node rep = json::Node::object();
+  rep["benchmark"] = "sim_throughput";
+  rep["repeats"] = options.repeats;
 
   // Pure-VM engine for the speed measurements: cross-checking off, so the
   // numbers are the VM alone, not VM + sampled interpreter re-runs.
@@ -59,9 +61,9 @@ int runSimBenchSuite(const SimBenchOptions& options) {
   pureVm.crossCheck = 0.0;
 
   std::vector<double> rtlSpeedups, behavSpeedups;
-  JsonValue designsJson = JsonValue::array();
+  json::Node designsJson = json::Node::array();
   for (const auto& d : designs::all()) {
-    JsonValue entry = JsonValue::object();
+    json::Node entry = json::Node::object();
     entry["name"] = d.name;
 
     // Behavioral: whole-program runs/sec.
@@ -76,7 +78,7 @@ int runSimBenchSuite(const SimBenchOptions& options) {
                                [&] { (void)behav.run(d.sampleInputs); });
     const double behavInterpRate = (double)bi / ti;
     const double behavVmRate = (double)bv / tv;
-    JsonValue bj = JsonValue::object();
+    json::Node bj = json::Node::object();
     bj["interp_runs_per_sec"] = behavInterpRate;
     bj["vm_runs_per_sec"] = behavVmRate;
     bj["speedup"] = behavVmRate / behavInterpRate;
@@ -100,7 +102,7 @@ int runSimBenchSuite(const SimBenchOptions& options) {
                                 [&] { (void)rtlVm.run(d.sampleInputs); });
     const double rtlInterpRate = (double)ri * (double)cyclesPerRun / tri;
     const double rtlVmRate = (double)rv * (double)cyclesPerRun / trv;
-    JsonValue rj = JsonValue::object();
+    json::Node rj = json::Node::object();
     rj["cycles_per_run"] = cyclesPerRun;
     rj["interp_cycles_per_sec"] = rtlInterpRate;
     rj["vm_cycles_per_sec"] = rtlVmRate;
@@ -118,15 +120,15 @@ int runSimBenchSuite(const SimBenchOptions& options) {
           behavVmRate / behavInterpRate, rtlInterpRate, rtlVmRate,
           rtlVmRate / rtlInterpRate);
   }
-  rep.root()["designs"] = std::move(designsJson);
+  rep["designs"] = std::move(designsJson);
 
   double minRtl = rtlSpeedups.front(), minBehav = behavSpeedups.front();
   for (double s : rtlSpeedups) minRtl = std::min(minRtl, s);
   for (double s : behavSpeedups) minBehav = std::min(minBehav, s);
-  rep.root()["behav_speedup_geomean"] = geomean(behavSpeedups);
-  rep.root()["behav_speedup_min"] = minBehav;
-  rep.root()["rtl_speedup_geomean"] = geomean(rtlSpeedups);
-  rep.root()["rtl_speedup_min"] = minRtl;
+  rep["behav_speedup_geomean"] = geomean(behavSpeedups);
+  rep["behav_speedup_min"] = minBehav;
+  rep["rtl_speedup_geomean"] = geomean(rtlSpeedups);
+  rep["rtl_speedup_min"] = minRtl;
 
   // End-to-end fuzz batch: full runSource (synthesis + checking + co-sim)
   // over fixed seeds, once per engine. Single pass — a pass takes seconds,
@@ -148,7 +150,7 @@ int runSimBenchSuite(const SimBenchOptions& options) {
   };
   auto [interpSecs, interpSims] = fuzzPass(vm::EngineKind::Interp);
   auto [vmSecs, vmSims] = fuzzPass(vm::EngineKind::Vm);
-  JsonValue fj = JsonValue::object();
+  json::Node fj = json::Node::object();
   fj["seeds"] = seeds;
   fj["matrix"] = "quick";
   fj["passes"] = 1;
@@ -159,19 +161,19 @@ int runSimBenchSuite(const SimBenchOptions& options) {
       interpSecs > 0 ? (double)interpSims / interpSecs : 0.0;
   fj["vm_cosims_per_sec"] = vmSecs > 0 ? (double)vmSims / vmSecs : 0.0;
   fj["speedup"] = vmSecs > 0 ? interpSecs / vmSecs : 0.0;
-  rep.root()["fuzz"] = std::move(fj);
+  rep["fuzz"] = std::move(fj);
   if (!options.quiet)
     std::printf(
         "sim bench fuzz     %ld seeds (quick matrix): %.2fs -> %.2fs "
         "(%.1fx end-to-end)\n",
         seeds, interpSecs, vmSecs, vmSecs > 0 ? interpSecs / vmSecs : 0.0);
 
-  rep.root()["wall_seconds"] = total.seconds();
+  rep["wall_seconds"] = total.seconds();
 
   const std::string sep =
       options.outDir.empty() || options.outDir.back() == '/' ? "" : "/";
   const std::string path = options.outDir + sep + "BENCH_sim.json";
-  if (!rep.writeFile(path)) {
+  if (!json::writeFile(path, rep)) {
     std::fprintf(stderr, "mphls: cannot write %s\n", path.c_str());
     return 1;
   }

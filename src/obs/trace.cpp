@@ -120,11 +120,6 @@ void Tracer::clear() {
   }
 }
 
-namespace {
-
-/// Length of the valid UTF-8 sequence starting at s[i], or 0 if the
-/// bytes there are not well-formed (overlong forms, surrogates, and
-/// code points above U+10FFFF all count as invalid).
 std::size_t utf8SequenceLength(std::string_view s, std::size_t i) {
   const auto b0 = static_cast<unsigned char>(s[i]);
   if (b0 < 0x80) return 1;
@@ -147,8 +142,6 @@ std::size_t utf8SequenceLength(std::string_view s, std::size_t i) {
   if (cp > 0x10ffff) return 0;                      // beyond Unicode
   return len;
 }
-
-}  // namespace
 
 void appendJsonString(std::string& out, std::string_view s) {
   out += '"';

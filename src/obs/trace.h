@@ -148,10 +148,17 @@ class TraceSpan {
   double startMicros_ = 0;
 };
 
+/// Length of the valid UTF-8 sequence starting at s[i], or 0 if the
+/// bytes there are not well-formed (overlong forms, surrogates, and
+/// code points above U+10FFFF all count as invalid). The one UTF-8
+/// decoder: the escaper below and the JSON reader both use it.
+[[nodiscard]] std::size_t utf8SequenceLength(std::string_view s,
+                                             std::size_t i);
+
 /// Append a JSON string literal (quotes included), escaping control
 /// characters and validating UTF-8: every byte of an invalid sequence
 /// is replaced by U+FFFD so the output is always valid JSON/UTF-8.
-/// Shared by the trace, metrics, and log exporters.
+/// Shared by the trace, metrics, and log exporters and json::Node::dump.
 void appendJsonString(std::string& out, std::string_view s);
 
 }  // namespace mphls::obs

@@ -102,7 +102,7 @@ LoadgenReport runLoadgen(const LoadgenOptions& opts) {
   // /sim requests run with meaningful inputs.
   struct DesignInfo {
     std::string name;
-    std::string inputsJson;  ///< rendered {"port": value, ...}
+    std::vector<std::pair<std::string, double>> inputs;  ///< port, value
   };
   std::vector<DesignInfo> designs;
   {
@@ -120,17 +120,9 @@ LoadgenReport runLoadgen(const LoadgenOptions& opts) {
     for (const auto& d : doc->items()) {
       DesignInfo info;
       info.name = d->getString("name");
-      std::string in = "{";
-      if (const json::Node* si = d->get("sample_inputs")) {
-        bool first = true;
-        for (const auto& [k, v] : si->members()) {
-          if (!first) in += ",";
-          first = false;
-          in += "\"" + k + "\":" + std::to_string((std::uint64_t)v->number());
-        }
-      }
-      in += "}";
-      info.inputsJson = in;
+      if (const json::Node* si = d->get("sample_inputs"))
+        for (const auto& [k, v] : si->members())
+          info.inputs.emplace_back(k, v->number());
       designs.push_back(std::move(info));
     }
   }
@@ -147,16 +139,17 @@ LoadgenReport runLoadgen(const LoadgenOptions& opts) {
     const DesignInfo& d = designs[rng() % designs.size()];
     PlannedRequest pr;
     pr.target = "/" + ep;
-    if (ep == "sta")
-      pr.body = "{\"design\":\"" + d.name + "\",\"clock\":10}";
-    else if (ep == "sim")
-      pr.body =
-          "{\"design\":\"" + d.name + "\",\"inputs\":" + d.inputsJson + "}";
-    else if (ep == "prove")
-      pr.body = "{\"design\":\"" + d.name + "\",\"options\":{\"opt\":\"" +
-                std::string(options::token(OptLevel::Standard)) + "\"}}";
-    else
-      pr.body = "{\"design\":\"" + d.name + "\"}";
+    json::Node body = json::Node::object();
+    body["design"] = d.name;
+    if (ep == "sta") {
+      body["clock"] = 10;
+    } else if (ep == "sim") {
+      json::Node& in = body["inputs"] = json::Node::object();
+      for (const auto& [k, v] : d.inputs) in[k] = v;
+    } else if (ep == "prove") {
+      body["options"]["opt"] = std::string(options::token(OptLevel::Standard));
+    }
+    pr.body = body.dump();
     plan.push_back(std::move(pr));
   }
 
@@ -231,8 +224,8 @@ LoadgenReport runLoadgen(const LoadgenOptions& opts) {
   }
 
   if (!opts.reportPath.empty()) {
-    BenchReporter out("serve_loadgen");
-    JsonValue& root = out.root();
+    json::Node root = json::Node::object();
+    root["benchmark"] = "serve_loadgen";
     root["url"] = opts.url;
     root["clients"] = opts.clients;
     root["requests"] = opts.requests;
@@ -240,7 +233,7 @@ LoadgenReport runLoadgen(const LoadgenOptions& opts) {
     root["seed"] = (std::size_t)opts.seed;
     root["wall_seconds"] = rep.wallSeconds;
     root["requests_per_second"] = rep.requestsPerSecond;
-    JsonValue lat = JsonValue::object();
+    json::Node lat = json::Node::object();
     lat["p50_ms"] = rep.p50Ms;
     lat["p90_ms"] = percentile(all, 0.90);
     lat["p99_ms"] = rep.p99Ms;
@@ -249,27 +242,27 @@ LoadgenReport runLoadgen(const LoadgenOptions& opts) {
     for (double v : all) sum += v;
     lat["mean_ms"] = all.empty() ? 0.0 : sum / (double)all.size();
     root["latency"] = std::move(lat);
-    JsonValue errs = JsonValue::object();
+    json::Node errs = json::Node::object();
     errs["transport"] = rep.transportErrors;
     errs["http"] = rep.httpErrors;
     errs["invalid_json"] = rep.invalidJson;
     root["errors"] = std::move(errs);
-    JsonValue cache = JsonValue::object();
+    json::Node cache = json::Node::object();
     cache["hit_rate"] = rep.cacheHitRate;
     cache["hits"] = cacheHits;
     cache["misses"] = cacheMisses;
     root["cache"] = std::move(cache);
-    JsonValue eps = JsonValue::object();
+    json::Node eps = json::Node::object();
     for (auto& [target, lats] : byEndpoint) {
       std::sort(lats.begin(), lats.end());
-      JsonValue e = JsonValue::object();
+      json::Node e = json::Node::object();
       e["count"] = lats.size();
       e["p50_ms"] = percentile(lats, 0.50);
       e["p99_ms"] = percentile(lats, 0.99);
       eps[target] = std::move(e);
     }
     root["endpoints"] = std::move(eps);
-    if (!out.writeFile(opts.reportPath))
+    if (!json::writeFile(opts.reportPath, root))
       rep.error = "cannot write " + opts.reportPath;
   }
   return rep;

@@ -2,6 +2,7 @@
 
 #include <climits>
 
+#include "common/bench_report.h"
 #include "common/json_reader.h"
 #include "core/commands.h"
 #include "core/designs.h"
@@ -122,12 +123,12 @@ ServiceResponse handleMetrics(const std::string& query) {
 }
 
 ServiceResponse handleDesigns() {
-  JsonValue arr = JsonValue::array();
+  json::Node arr = json::Node::array();
   for (const auto& d : designs::all()) {
-    JsonValue o = JsonValue::object();
+    json::Node o = json::Node::object();
     o["name"] = std::string(d.name);
     o["source"] = std::string(d.source);
-    JsonValue in = JsonValue::object();
+    json::Node in = json::Node::object();
     for (const auto& [k, v] : d.sampleInputs) in[k] = (double)v;
     o["sample_inputs"] = std::move(in);
     arr.push(std::move(o));

@@ -466,9 +466,9 @@ StaResult runSta(const RtlDesign& design, const StaOptions& options) {
   return r;
 }
 
-JsonValue staReportJson(const std::string& key, const std::string& name,
-                        const StaResult& r) {
-  JsonValue j = JsonValue::object();
+json::Node staReportJson(const std::string& key, const std::string& name,
+                         const StaResult& r) {
+  json::Node j = json::Node::object();
   j[key] = name;
   j["clock_ns"] = r.clockNs;
   j["clock_estimated"] = r.clockWasEstimated;
@@ -482,9 +482,9 @@ JsonValue staReportJson(const std::string& key, const std::string& name,
   j["structural_cycle_time"] = r.structuralCycleTime;
   j["false_path_endpoints"] = r.falsePathEndpoints;
   j["comb_loop"] = r.combLoop;
-  JsonValue paths = JsonValue::array();
+  json::Node paths = json::Node::array();
   for (const TimingPath& p : r.paths) {
-    JsonValue pj = JsonValue::object();
+    json::Node pj = json::Node::object();
     pj["state"] = p.state;
     pj["state_desc"] = p.stateDesc;
     pj["startpoint"] = p.startpoint;
@@ -492,9 +492,9 @@ JsonValue staReportJson(const std::string& key, const std::string& name,
     pj["arrival"] = p.arrival;
     pj["required"] = p.required;
     pj["slack"] = p.slack;
-    JsonValue pts = JsonValue::array();
+    json::Node pts = json::Node::array();
     for (const PathPoint& pt : p.points) {
-      JsonValue tj = JsonValue::object();
+      json::Node tj = json::Node::object();
       tj["node"] = pt.node;
       tj["incr"] = pt.incr;
       tj["arrival"] = pt.arrival;

@@ -34,7 +34,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/bench_report.h"
+#include "common/json_reader.h"
 #include "rtl/design.h"
 
 namespace mphls::sta {
@@ -108,8 +108,8 @@ struct StaResult {
 /// [...], ...}) in the deterministic sorted convention the lint/prove
 /// JSON reports use. Shared by `mphls sta --format json`, the bench
 /// suite and the golden tests.
-[[nodiscard]] JsonValue staReportJson(const std::string& key,
-                                      const std::string& name,
-                                      const StaResult& r);
+[[nodiscard]] json::Node staReportJson(const std::string& key,
+                                       const std::string& name,
+                                       const StaResult& r);
 
 }  // namespace mphls::sta

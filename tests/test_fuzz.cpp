@@ -290,7 +290,7 @@ TEST(FuzzCampaign, ReportCarriesTheCampaignShape) {
   c.diff = quickDiff();
   fuzz::CampaignResult r = fuzz::runCampaign(c);
   EXPECT_TRUE(r.clean());
-  JsonValue j = fuzz::campaignReport(c, r, "quick");
+  json::Node j = fuzz::campaignReport(c, r, "quick");
   const std::string s = j.dump();
   EXPECT_NE(s.find("\"benchmark\": \"fuzz_campaign\""), std::string::npos)
       << s;

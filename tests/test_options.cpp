@@ -251,6 +251,9 @@ TEST(CliArgs, JunkNumbersAreRejected) {
   EXPECT_FALSE(cli::parseDesign(verify.argc(), verify.argv()));
   Argv level({"mphls", "serve", "--log-level", "loud"});
   EXPECT_FALSE(cli::parseTool<cli::ServeArgs>(level.argc(), level.argv()));
+  // The fuzz oracles have no off switch.
+  Argv noCheck({"mphls", "fuzz", "--no-check"});
+  EXPECT_FALSE(cli::parseTool<cli::FuzzArgs>(noCheck.argc(), noCheck.argv()));
 }
 
 TEST(CliArgs, WellFormedLinesParse) {

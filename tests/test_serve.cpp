@@ -10,6 +10,7 @@
 // whole battery with --gtest_filter='Serve*'.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <thread>
 #include <vector>
@@ -233,7 +234,12 @@ TEST(ServeJsonReader, RejectsMalformedDocuments) {
   const char* bad[] = {"",       "{",          "[1,]",    "{\"a\":}",
                        "01",     "1.",         "+1",      "\"\\x\"",
                        "tru",    "{\"a\":1,}", "[1] []",  "nulll",
-                       "\"\\ud83d\"" /* lone surrogate */};
+                       "\"\\ud83d\"" /* lone surrogate */,
+                       // Raw bytes inside a string must be valid UTF-8:
+                       // a lone continuation-range byte, an overlong '/',
+                       // an encoded surrogate, a truncated sequence.
+                       "\"a\xff\"", "\"\xc0\xaf\"", "\"\xed\xa0\x80\"",
+                       "\"\xe2\x82\""};
   for (const char* t : bad) {
     json::ParseError e;
     EXPECT_EQ(json::parseOrError(t, e), nullptr) << t;
@@ -242,18 +248,50 @@ TEST(ServeJsonReader, RejectsMalformedDocuments) {
 }
 
 TEST(ServeJsonReader, EveryCommandBodyRoundTrips) {
-  // The builder side (JsonValue) and the hand-rolled renderers must both
-  // produce documents the reader accepts — the soak test depends on it.
+  // Built json::Node documents and the hand-rolled renderers must both
+  // produce documents the reader accepts — the soak test depends on it —
+  // even for a name that is not valid UTF-8: every escaper writes U+FFFD.
   cmd::Request req;
-  req.name = "sqrt";
+  req.name = "sqrt\xff";
   req.source = designs::sqrtSource();
   req.opts.resources = ResourceLimits::universalSet(2);
-  EXPECT_TRUE(json::valid(cmd::synthJson(req).body));
-  EXPECT_TRUE(json::valid(cmd::lintJson(req).body));
-  EXPECT_TRUE(json::valid(cmd::analyzeJson(req, false).body));
-  EXPECT_TRUE(json::valid(cmd::staJson(req, 10.0, 3).body));
-  EXPECT_TRUE(json::valid(cmd::proveJson(req, false).body));
-  EXPECT_TRUE(json::valid(cmd::simJson(req, {}).body));
+  const std::string bodies[] = {
+      cmd::synthJson(req).body,         cmd::lintJson(req).body,
+      cmd::analyzeJson(req, false).body, cmd::staJson(req, 10.0, 3).body,
+      cmd::proveJson(req, false).body,  cmd::simJson(req, {}).body};
+  for (const std::string& body : bodies) {
+    EXPECT_TRUE(json::valid(body)) << body;
+    EXPECT_NE(body.find("sqrt\xef\xbf\xbd"), std::string::npos) << body;
+  }
+}
+
+TEST(ServeJsonReader, BuiltDocumentsRoundTrip) {
+  json::Node doc = json::Node::object();
+  doc["null"] = json::Node();
+  doc["yes"] = true;
+  doc["no"] = false;
+  doc["int"] = 42;
+  doc["tenth"] = 0.1;
+  doc["huge"] = 1e300;
+  doc["nan"] = std::nan("");
+  doc["empty_array"] = json::Node::array();
+  doc["empty_object"] = json::Node::object();
+  json::Node& nested = doc["nested"];
+  nested["list"].push(-7);
+  nested["list"].push("x\n\"y\"");
+  nested["list"].push(json::Node::object())["deep"] = 2.5;
+  doc["key \"quoted\"\t\\"] = "\x01";
+
+  const std::string text = doc.dump();
+  const auto back = json::parse(text);
+  ASSERT_NE(back, nullptr) << text;
+  EXPECT_EQ(back->dump(), text);
+  EXPECT_TRUE(back->get("nan")->isNull());
+  EXPECT_NE(text.find("\"nan\": null"), std::string::npos) << text;
+  EXPECT_DOUBLE_EQ(back->getNumber("tenth"), 0.1);
+  EXPECT_DOUBLE_EQ(back->getNumber("huge"), 1e300);
+  EXPECT_EQ(back->get("nested")->get("list")->at(1)->str(), "x\n\"y\"");
+  EXPECT_EQ(back->getString("key \"quoted\"\t\\"), "\x01");
 }
 
 // --------------------------------------------------------- service
@@ -288,8 +326,9 @@ TEST(ServeService, MalformedBodiesAre400) {
   const serve::Service svc = makeService();
   // Broken JSON, non-object, missing source, unknown builtin, bad option
   // keys (the stage-exit checks have no switch), bad option value,
-  // non-object options, bad /sim inputs, and
-  // numbers with no int (or uint64_t) value: out of range or fractional.
+  // non-object options, bad /sim inputs,
+  // numbers with no int (or uint64_t) value: out of range or fractional,
+  // and a string that is not valid UTF-8.
   // `error`, when set, must appear in the body.
   struct Case {
     const char* target;
@@ -320,6 +359,8 @@ TEST(ServeService, MalformedBodiesAre400) {
        "bad time_constraint"},
       {"/sta", "{\"design\": \"sqrt\", \"paths\": 1e300}", nullptr},
       {"/sim", "{\"design\": \"sqrt\", \"inputs\": {\"x\": 1e30}}", nullptr},
+      {"/synth", "{\"design\": \"sqrt\", \"name\": \"a\xff\"}",
+       "invalid JSON body: invalid UTF-8 in string at offset 29"},
   };
   for (const Case& c : bad) {
     const serve::ServiceResponse r = svc.handle(makePost(c.target, c.body), 1);

@@ -168,8 +168,8 @@ TEST(Sta, MulticycleSqrtPrunesFalsePaths) {
 TEST(Sta, JsonReportDeterministicAndComplete) {
   auto r = synth(designs::fir8Source());
   sta::StaResult s = sta::runSta(r.design);
-  JsonValue a = sta::staReportJson("design", "fir8", s);
-  JsonValue b = sta::staReportJson("design", "fir8", s);
+  json::Node a = sta::staReportJson("design", "fir8", s);
+  json::Node b = sta::staReportJson("design", "fir8", s);
   EXPECT_EQ(a.dump(), b.dump());
   const std::string text = a.dump();
   for (const char* key :
