@@ -16,8 +16,9 @@
 # the emitted BENCH_dse.json, BENCH_sim.json and BENCH_sta.json, an
 # observability
 # smoke run validating the Chrome trace, metrics JSON, and VCD waveform
-# from `mphls profile`, and a serve smoke: daemon on an ephemeral port,
-# byte-diff of every endpoint against the offline CLI, a concurrent
+# from `mphls profile`, a --verify missing-input check, and a serve smoke:
+# daemon on an ephemeral port, byte-diff of every endpoint against the
+# offline CLI, an exact 64-bit /sim echo, a concurrent
 # loadgen run with a schema check of BENCH_serve.json, a Prometheus
 # text-exposition gate (TYPE lines, cumulative buckets, _sum/_count
 # consistency), a SIGQUIT flight-recorder dump smoke against the live
@@ -78,6 +79,17 @@ if ./build/src/cli/mphls sta --clock 2.0 examples/sqrt.bdl --quiet \
   exit 1
 fi
 
+# --- Verify gate: a --verify run that leaves an input port unset must be
+# that run's verify failure (exit 1, "missing input 'x'"), not an abort.
+VERIFY_RC=0
+VERIFY_OUT=$(./build/src/cli/mphls --quiet --verify zz=1 examples/sqrt.bdl) ||
+  VERIFY_RC=$?
+if [ "$VERIFY_RC" -ne 1 ] ||
+   ! printf '%s\n' "$VERIFY_OUT" | grep -q "missing input 'x'"; then
+  echo "verify: missing input not reported (exit $VERIFY_RC): $VERIFY_OUT" >&2
+  exit 1
+fi
+
 # --- Differential fuzz smoke: a fixed-seed campaign over the standard
 # scheduler/allocator/encoding matrix must co-simulate clean (any failure
 # is saved and auto-reduced under build/fuzz-smoke for inspection)...
@@ -108,10 +120,10 @@ assert report["check_failures"] > 0, "schedule shift produced no check finding"
 EOF
 
 # --- Bytecode-VM oracle gate: every one of 200 seeds runs on both the VM
-# and the tree-walking interpreters (100% cross-check sampling is implied
-# by --engine both) and must agree bit-for-bit — a single divergence is a
-# VM bug and fails the build.
-./build/src/cli/mphls fuzz --seeds 200 --jobs "$(nproc)" --engine both \
+# and the tree-walking interpreters (--cross-check 1 re-runs every VM
+# execution on the interpreter) and must agree bit-for-bit — a single
+# divergence is a VM bug and fails the build.
+./build/src/cli/mphls fuzz --seeds 200 --jobs "$(nproc)" --cross-check 1 \
   --no-save --quiet
 
 # --- Formal equivalence gate: every built-in design must *prove*
@@ -395,6 +407,19 @@ for d in designs:
                 f" daemon : {daemon[:160]!r}\n cli    : {offline[:160]!r}")
             checked += 1
     os.unlink(f.name)
+
+# Exact 64-bit integers: 2^53+1 has no double, and must come back from
+# /sim digit for digit.
+big = 2**53 + 1
+conn.request("POST", "/sim", json.dumps({
+    "source": "proc p(in a: uint<64>, out y: uint<64>) { y = a; }",
+    "inputs": {"a": big}}))
+r = conn.getresponse()
+body = r.read()
+assert r.status == 200, f"/sim {r.status}: {body[:160]!r}"
+sim = json.loads(body)
+assert sim["inputs"]["a"] == big and sim["outputs"]["y"] == big, (
+    f"/sim lost integer digits: {body[:200]!r}")
 
 conn.request("GET", "/metrics")
 metrics = json.loads(conn.getresponse().read())

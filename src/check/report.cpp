@@ -5,8 +5,6 @@
 #include <tuple>
 #include <utility>
 
-#include "obs/trace.h"
-
 namespace mphls {
 
 std::string_view checkSeverityName(CheckSeverity s) {
@@ -104,26 +102,24 @@ std::string CheckReport::render() const {
   return oss.str();
 }
 
-std::string CheckReport::renderJson() const {
-  std::string out = "{\"diagnostics\":[";
-  bool first = true;
+void CheckReport::addJson(json::Node& obj) const {
+  json::Node& diags = obj["diagnostics"] = json::Node::array();
   for (const auto& d : sorted()) {
-    if (!first) out += ",";
-    first = false;
-    out += "{\"severity\":\"";
-    out += checkSeverityName(d.severity);
-    out += "\",\"code\":";
-    obs::appendJsonString(out, d.id);
-    out += ",\"where\":";
-    obs::appendJsonString(out, d.where);
-    out += ",\"message\":";
-    obs::appendJsonString(out, d.message);
-    out += "}";
+    json::Node& o = diags.push(json::Node::object());
+    o["severity"] = std::string(checkSeverityName(d.severity));
+    o["code"] = d.id;
+    o["where"] = d.where;
+    o["message"] = d.message;
   }
-  out += "],\"errors\":" + std::to_string(errorCount()) +
-         ",\"warnings\":" + std::to_string(warningCount()) +
-         ",\"clean\":" + (clean() ? "true" : "false") + "}";
-  return out;
+  obj["errors"] = errorCount();
+  obj["warnings"] = warningCount();
+  obj["clean"] = clean();
+}
+
+std::string CheckReport::renderJson() const {
+  json::Node obj = json::Node::object();
+  addJson(obj);
+  return obj.dumpLine();
 }
 
 }  // namespace mphls

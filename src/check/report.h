@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/diag.h"
+#include "common/json_reader.h"
 
 namespace mphls {
 
@@ -93,9 +94,11 @@ class CheckReport {
   /// plus a summary line.
   [[nodiscard]] std::string render() const;
 
-  /// Machine-readable report: {"diagnostics":[{"severity","code","where",
-  /// "message"},...],"errors":N,"warnings":N,"clean":bool}, diagnostics in
-  /// `sorted()` order.
+  /// Machine-readable report: adds the members "diagnostics" (objects
+  /// {"severity","code","where","message"} in `sorted()` order), "errors",
+  /// "warnings" and "clean" to `obj`, after whatever it already holds.
+  void addJson(json::Node& obj) const;
+  /// addJson on an empty object, on one line.
   [[nodiscard]] std::string renderJson() const;
 
  private:

@@ -251,7 +251,7 @@ std::vector<Flag> FuzzArgs::flags() {
          return true;
        }},
       number("--trials", "N", c.diff.trials, 1),
-      {"--engine", "interp|vm|both",
+      {"--engine", "interp|vm",
        [&c](std::string_view v) {
          return vm::parseEngineKind(std::string(v), c.diff.engine.kind);
        }},

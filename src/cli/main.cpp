@@ -467,7 +467,7 @@ int runProve(const DesignArgs& a, const cmd::Request& file) {
   const cmd::ProveInjection inject =
       fuzz::proveInjection(a.inject, a.opts.latencies);
   int applicable = 0, clean = 0;
-  std::string json = "[";
+  json::Node reports = json::Node::array();  // --format json
   for (const cmd::Request& req : targets(a, file)) {
     const auto o = cmd::proveReport(req, a.provePasses, inject);
     if (!o.value) return fail(req.name + ": " + o.failure.error);
@@ -477,8 +477,8 @@ int runProve(const DesignArgs& a, const cmd::Request& file) {
       if (rep.clean()) ++clean;
     }
     if (a.jsonFormat) {
-      if (json.size() > 1) json += ",";
-      json += cmd::reportJson(a.builtins ? "design" : "file", req.name, rep);
+      reports.push(cmd::reportJson(a.builtins ? "design" : "file", req.name,
+                                   rep));
       continue;
     }
     const char* verdict =
@@ -495,7 +495,7 @@ int runProve(const DesignArgs& a, const cmd::Request& file) {
   const bool ok = injecting ? applicable > 0 && clean == 0
                             : clean == applicable;
   if (a.jsonFormat)
-    std::cout << json << "]\n";
+    std::cout << reports.dumpLine() << "\n";
   else if (injecting)
     std::cout << "prove --inject: " << applicable - clean << "/"
               << applicable << " applicable design(s) caught\n";

@@ -1,5 +1,6 @@
 #include "common/json_reader.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -246,28 +247,44 @@ class Parser {
 
   std::unique_ptr<Node> number() {
     const std::size_t start = pos_;
-    if (!eof() && peek() == '-') ++pos_;
+    const bool negative = !eof() && peek() == '-';
+    if (negative) ++pos_;
     const std::size_t digits = pos_;
     while (!eof() && peek() >= '0' && peek() <= '9') ++pos_;
     if (pos_ == digits) return fail("invalid number");
     // No leading zeros ("01"), per the RFC.
     if (pos_ - digits > 1 && text_[digits] == '0')
       return fail("leading zero in number");
+    bool integral = true;
     if (!eof() && peek() == '.') {
+      integral = false;
       ++pos_;
       const std::size_t frac = pos_;
       while (!eof() && peek() >= '0' && peek() <= '9') ++pos_;
       if (pos_ == frac) return fail("missing fraction digits");
     }
     if (!eof() && (peek() == 'e' || peek() == 'E')) {
+      integral = false;
       ++pos_;
       if (!eof() && (peek() == '+' || peek() == '-')) ++pos_;
       const std::size_t exp = pos_;
       while (!eof() && peek() >= '0' && peek() <= '9') ++pos_;
       if (pos_ == exp) return fail("missing exponent digits");
     }
-    return std::make_unique<Node>(std::strtod(
-        std::string(text_.substr(start, pos_ - start)).c_str(), nullptr));
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    // Integer literals in range stay exact ("-0" stays the double -0).
+    if (integral && !negative) {
+      unsigned long long u = 0;
+      if (std::from_chars(first, last, u).ec == std::errc())
+        return std::make_unique<Node>(u);
+    } else if (integral) {
+      long long i = 0;
+      if (std::from_chars(first, last, i).ec == std::errc() && i != 0)
+        return std::make_unique<Node>(i);
+    }
+    return std::make_unique<Node>(
+        std::strtod(std::string(first, last).c_str(), nullptr));
   }
 
   std::string_view text_;
@@ -286,6 +303,23 @@ std::unique_ptr<Node> parse(std::string_view text) {
 }
 
 bool valid(std::string_view text) { return parse(text) != nullptr; }
+
+Node::Node(long long v)
+    : kind_(Kind::Number),
+      rep_(v < 0 ? Rep::Signed : Rep::Unsigned),
+      num_(static_cast<double>(v)),
+      bits_(static_cast<std::uint64_t>(v)) {}
+
+Node::Node(unsigned long long v)
+    : kind_(Kind::Number),
+      rep_(Rep::Unsigned),
+      num_(static_cast<double>(v)),
+      bits_(v) {}
+
+std::optional<std::uint64_t> Node::uint64() const {
+  if (kind_ == Kind::Number && rep_ == Rep::Unsigned) return bits_;
+  return std::nullopt;
+}
 
 const Node* Node::get(std::string_view key) const {
   for (const auto& [k, v] : members_)
@@ -365,53 +399,69 @@ void appendNumber(std::string& out, double v) {
 
 }  // namespace
 
-void Node::dumpTo(std::string& out, int depth) const {
-  const std::string pad(static_cast<std::size_t>(depth) * 2, ' ');
-  const std::string padIn(static_cast<std::size_t>(depth + 1) * 2, ' ');
+void Node::write(std::string& out, int depth, bool pretty) const {
+  char digits[24];
   switch (kind_) {
-    case Kind::Null: out += "null"; break;
-    case Kind::Bool: out += bool_ ? "true" : "false"; break;
-    case Kind::Number: appendNumber(out, num_); break;
-    case Kind::String: obs::appendJsonString(out, str_); break;
+    case Kind::Null: out += "null"; return;
+    case Kind::Bool: out += bool_ ? "true" : "false"; return;
+    case Kind::Number:
+      if (rep_ == Rep::Double) {
+        appendNumber(out, num_);
+      } else {
+        const auto r =
+            rep_ == Rep::Signed
+                ? std::to_chars(digits, digits + sizeof digits,
+                                static_cast<std::int64_t>(bits_))
+                : std::to_chars(digits, digits + sizeof digits, bits_);
+        out.append(digits, r.ptr);
+      }
+      return;
+    case Kind::String: obs::appendJsonString(out, str_); return;
     case Kind::Array:
-      if (items_.empty()) {
-        out += "[]";
-        break;
-      }
-      out += "[\n";
-      for (std::size_t i = 0; i < items_.size(); ++i) {
-        out += padIn;
-        items_[i]->dumpTo(out, depth + 1);
-        if (i + 1 < items_.size()) out += ',';
-        out += '\n';
-      }
-      out += pad + "]";
-      break;
-    case Kind::Object:
-      if (members_.empty()) {
-        out += "{}";
-        break;
-      }
-      out += "{\n";
-      for (std::size_t i = 0; i < members_.size(); ++i) {
-        out += padIn;
-        obs::appendJsonString(out, members_[i].first);
-        out += ": ";
-        members_[i].second->dumpTo(out, depth + 1);
-        if (i + 1 < members_.size()) out += ',';
-        out += '\n';
-      }
-      out += pad + "}";
-      break;
+    case Kind::Object: break;
   }
+  const bool isArr = kind_ == Kind::Array;
+  const std::size_t n = isArr ? items_.size() : members_.size();
+  out += isArr ? '[' : '{';
+  if (n == 0) {
+    out += isArr ? ']' : '}';
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i > 0) out += ',';
+    if (pretty) {
+      out += '\n';
+      out.append(static_cast<std::size_t>(depth + 1) * 2, ' ');
+    }
+    if (isArr) {
+      items_[i]->write(out, depth + 1, pretty);
+      continue;
+    }
+    obs::appendJsonString(out, members_[i].first);
+    out += pretty ? ": " : ":";
+    members_[i].second->write(out, depth + 1, pretty);
+  }
+  if (pretty) {
+    out += '\n';
+    out.append(static_cast<std::size_t>(depth) * 2, ' ');
+  }
+  out += isArr ? ']' : '}';
 }
 
 std::string Node::dump() const {
   std::string out;
-  dumpTo(out, 0);
+  write(out, 0, true);
   out += '\n';
   return out;
 }
+
+std::string Node::dumpLine() const {
+  std::string out;
+  appendLine(out);
+  return out;
+}
+
+void Node::appendLine(std::string& out) const { write(out, 0, false); }
 
 bool writeFile(const std::string& path, const Node& doc) {
   std::ofstream out(path);

@@ -1,23 +1,30 @@
 // JSON for the whole system: parse, build, dump. json::Node is the one
-// JSON value type. The serve daemon decodes request bodies with the
-// reader, the load generator reads the daemon's /metrics snapshot back,
-// and the test battery asserts that every daemon response is well-formed
-// JSON. The synth, sta and sim reports, serve's /designs and the fuzz,
-// bench and loadgen reports are Nodes built in code and written with
-// dump(). Zero-dependency (std + obs/) by design, like everything under
-// obs/ and common/.
+// JSON value type and its writer is the one JSON writer. The serve daemon
+// decodes request bodies with the reader, the load generator reads the
+// daemon's /metrics snapshot back, and the test battery asserts that every
+// daemon response is well-formed JSON. Every report, snapshot, trace event,
+// log record and error body is a Node built in code and written with
+// dump() (indented) or dumpLine() (one line, no whitespace). The one
+// exception is the flight recorder's crash dump, which formats into a
+// fixed buffer because it runs in a signal handler and may not allocate.
+// Zero-dependency (std + the obs/ escaper): it is built into mphls_obs,
+// the bottom layer, so the tracer, metrics and logger write through it.
 //
 // Scope: full RFC 8259 value grammar (null, bool, number, string with
 // \uXXXX escapes decoded to UTF-8, array, object), strict — trailing
 // garbage, unbalanced brackets, bad escapes, bare words and invalid UTF-8
-// inside strings all fail. Numbers are held as double, and object members
-// preserve insertion order with first-key-wins lookup. dump() escapes
-// every string through obs::appendJsonString, so its output is valid
-// UTF-8 whatever bytes the strings hold.
+// inside strings all fail. Integers in [-2^63, 2^64) are held exactly,
+// from integer constructors and from literals without fraction or
+// exponent, and print digit for digit; every other number is a double.
+// Object members preserve insertion order with first-key-wins lookup.
+// The writer escapes every string through obs::appendJsonString, so its
+// output is valid UTF-8 whatever bytes the strings hold.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -54,9 +61,12 @@ class Node {
 
   Node() = default;
   Node(bool b) : kind_(Kind::Bool), bool_(b) {}
-  Node(int v) : kind_(Kind::Number), num_(v) {}
-  Node(long v) : kind_(Kind::Number), num_(static_cast<double>(v)) {}
-  Node(std::size_t v) : kind_(Kind::Number), num_(static_cast<double>(v)) {}
+  Node(int v) : Node(static_cast<long long>(v)) {}
+  Node(long v) : Node(static_cast<long long>(v)) {}
+  Node(long long v);
+  Node(unsigned v) : Node(static_cast<unsigned long long>(v)) {}
+  Node(unsigned long v) : Node(static_cast<unsigned long long>(v)) {}
+  Node(unsigned long long v);
   Node(double v) : kind_(Kind::Number), num_(v) {}
   Node(const char* s) : kind_(Kind::String), str_(s) {}
   Node(std::string s) : kind_(Kind::String), str_(std::move(s)) {}
@@ -72,9 +82,15 @@ class Node {
   Node& push(Node v);
 
   /// Serialize with 2-space indentation and a trailing newline at the top
-  /// level. Integral numbers print without a fraction, other doubles with
-  /// the fewest digits that round-trip, non-finite values as null.
+  /// level. Exact integers print digit for digit, integral doubles without
+  /// a fraction, other doubles with the fewest digits that round-trip,
+  /// non-finite values as null.
   [[nodiscard]] std::string dump() const;
+  /// The same serialization on one line: no whitespace at all and no
+  /// trailing newline.
+  [[nodiscard]] std::string dumpLine() const;
+  /// dumpLine() appended to `out`.
+  void appendLine(std::string& out) const;
 
   [[nodiscard]] Kind kind() const { return kind_; }
   [[nodiscard]] bool isNull() const { return kind_ == Kind::Null; }
@@ -90,6 +106,9 @@ class Node {
   [[nodiscard]] double number(double dflt = 0) const {
     return isNumber() ? num_ : dflt;
   }
+  /// The exact value of an integer in [0, 2^64); nullopt for anything
+  /// else, including integral doubles such as 1e3 or 2.0.
+  [[nodiscard]] std::optional<std::uint64_t> uint64() const;
   [[nodiscard]] const std::string& str() const { return str_; }
 
   /// Array elements (empty for non-arrays).
@@ -122,11 +141,18 @@ class Node {
  private:
   friend class Parser;
 
-  void dumpTo(std::string& out, int depth) const;
+  void write(std::string& out, int depth, bool pretty) const;
+
+  /// How a number is held: Unsigned for integers >= 0 and Signed for
+  /// negative ones (exact, in bits_), Double otherwise. num_ holds the
+  /// value in every case, rounded to a double for large integers.
+  enum class Rep : unsigned char { Double, Signed, Unsigned };
 
   Kind kind_ = Kind::Null;
   bool bool_ = false;
+  Rep rep_ = Rep::Double;
   double num_ = 0;
+  std::uint64_t bits_ = 0;
   std::string str_;
   std::vector<std::unique_ptr<Node>> items_;
   std::vector<std::pair<std::string, std::unique_ptr<Node>>> members_;

@@ -7,7 +7,6 @@
 #include "check/check.h"
 #include "common/diag.h"
 #include "core/frontend_cache.h"
-#include "obs/trace.h"
 #include "opt/pass.h"
 #include "rtl/verilog.h"
 #include "sec/passes.h"
@@ -19,15 +18,16 @@ namespace mphls::cmd {
 
 namespace {
 
-/// Compact single-line error report, same trailing-newline convention as
-/// the lint/prove renderers.
+/// A single-line report body, as the lint, analyze and prove renderers
+/// print it.
+std::string lineBody(const json::Node& j) { return j.dumpLine() + "\n"; }
+
+/// Single-line error report: {"file":<name>,"error":<message>}.
 Result errorResult(const std::string& name, const Failure& f) {
-  std::string body = "{\"file\":";
-  obs::appendJsonString(body, name);
-  body += ",\"error\":";
-  obs::appendJsonString(body, f.error);
-  body += "}\n";
-  return {std::move(body), false, f.inputError};
+  json::Node j = json::Node::object();
+  j["file"] = name;
+  j["error"] = f.error;
+  return {lineBody(j), false, f.inputError};
 }
 
 /// Compile through the shared frontend cache and clone for backend use.
@@ -74,14 +74,12 @@ std::optional<SynthesisResult> synthesized(const Request& req,
 
 }  // namespace
 
-std::string reportJson(const std::string& key, const std::string& name,
-                       const CheckReport& rep) {
-  std::string out = "{\"" + key + "\":";
-  obs::appendJsonString(out, name);
-  out += ",";
-  // Splice the report object's fields in after the name.
-  out += rep.renderJson().substr(1);
-  return out;
+json::Node reportJson(const std::string& key, const std::string& name,
+                      const CheckReport& rep) {
+  json::Node j = json::Node::object();
+  j[key] = name;
+  rep.addJson(j);
+  return j;
 }
 
 Result synthJson(const Request& req) {
@@ -143,7 +141,7 @@ Outcome<CheckReport> lintReport(const Request& req) {
 Result lintJson(const Request& req) {
   const Outcome<CheckReport> o = lintReport(req);
   if (!o.value) return errorResult(req.name, o.failure);
-  return {reportJson("file", req.name, *o.value) + "\n", o.value->clean(),
+  return {lineBody(reportJson("file", req.name, *o.value)), o.value->clean(),
           false};
 }
 
@@ -159,25 +157,14 @@ Result analyzeJson(const Request& req, bool postPipeline) {
   if (!o.value) return errorResult(req.name, o.failure);
   CheckReport report;
   checkSemantics(*o.value, report);
-  return {reportJson("file", req.name, report) + "\n", report.clean(), false};
+  return {lineBody(reportJson("file", req.name, report)), report.clean(),
+          false};
 }
 
 json::Node staJsonNode(const std::string& key, const std::string& name,
                        const StaReport& r) {
   json::Node j = sta::staReportJson(key, name, r.timing);
-  json::Node diags = json::Node::array();
-  for (const CheckDiag& dg : r.lint.sorted()) {
-    json::Node o = json::Node::object();
-    o["severity"] = std::string(checkSeverityName(dg.severity));
-    o["code"] = dg.id;
-    o["where"] = dg.where;
-    o["message"] = dg.message;
-    diags.push(std::move(o));
-  }
-  j["diagnostics"] = std::move(diags);
-  j["errors"] = r.lint.errorCount();
-  j["warnings"] = r.lint.warningCount();
-  j["clean"] = r.lint.clean();
+  r.lint.addJson(j);
   return j;
 }
 
@@ -260,12 +247,9 @@ Result proveJson(const Request& req, bool provePasses) {
   const Outcome<ProveReport> o = proveReport(req, provePasses);
   if (!o.value) return errorResult(req.name, o.failure);
   // One-element array: the prove CLI prints an array even for one file.
-  // Sequential append: GCC 12 -Wrestrict -O3 false positive on the
-  // temporary chain (same story as obs/vcd.cpp).
-  std::string body = "[";
-  body += reportJson("file", req.name, o.value->report);
-  body += "]\n";
-  return {std::move(body), o.value->report.clean(), false};
+  json::Node reports = json::Node::array();
+  reports.push(reportJson("file", req.name, o.value->report));
+  return {lineBody(reports), o.value->report.clean(), false};
 }
 
 Result simJson(const Request& req,
@@ -289,10 +273,10 @@ Result simJson(const Request& req,
   j["file"] = req.name;
   j["design"] = d.fn.name();
   json::Node jin = json::Node::object();
-  for (const auto& [k, v] : in) jin[k] = (double)v;
+  for (const auto& [k, v] : in) jin[k] = v;
   j["inputs"] = std::move(jin);
   json::Node jout = json::Node::object();
-  for (const auto& [k, v] : res.outputs) jout[k] = (double)v;
+  for (const auto& [k, v] : res.outputs) jout[k] = v;
   j["outputs"] = std::move(jout);
   j["cycles"] = (long)res.cycles;
   j["finished"] = res.finished;

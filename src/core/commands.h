@@ -128,11 +128,11 @@ struct ProveReport {
 [[nodiscard]] Result simJson(const Request& req,
                              const std::map<std::string, std::uint64_t>& inputs);
 
-/// {"file":<name>, ...} splice of a CheckReport, shared by the lint,
-/// analyze and prove renderers.
-[[nodiscard]] std::string reportJson(const std::string& key,
-                                     const std::string& name,
-                                     const CheckReport& rep);
+/// {<key>:<name>, ...} followed by a CheckReport's members, shared by the
+/// lint, analyze and prove renderers.
+[[nodiscard]] json::Node reportJson(const std::string& key,
+                                    const std::string& name,
+                                    const CheckReport& rep);
 
 /// One sta report as a json::Node: the StaResult plus the timing lint's
 /// findings in the lint/prove diagnostics convention (sorted/deduped).

@@ -219,6 +219,11 @@ SynthesisResult Synthesizer::backend(Function fn, StageTimes st) {
 std::string verifyAgainstBehavior(
     const SynthesisResult& result,
     const std::map<std::string, std::uint64_t>& inputs, RtlExecResult* rtl) {
+  // An unset input is the caller's mistake, not an engine fault: report
+  // it as this run's failure instead of letting the engine abort.
+  for (const auto& p : result.design.fn.ports())
+    if (p.isInput && inputs.find(p.name) == inputs.end())
+      return "missing input '" + p.name + "'";
   // Both sides run on the bytecode VM engines (default mode), which also
   // sample interpreter cross-checks; a divergence is reported verbatim.
   ExecResult want;

@@ -174,7 +174,8 @@ class Synthesizer {
 /// Check behavior preservation end to end: run the behavioral interpreter
 /// and the RTL simulator on the same inputs and compare outputs. Returns an
 /// empty string on agreement, else a description of the mismatch. This is
-/// the paper's "design verification" obligation (Section 4). When `rtl` is
+/// the paper's "design verification" obligation (Section 4). Every input
+/// port must be given a value ("missing input 'x'" otherwise). When `rtl` is
 /// given it receives the RTL run (cycles, outputs) once the simulation
 /// has completed.
 [[nodiscard]] std::string verifyAgainstBehavior(

@@ -235,7 +235,7 @@ json::Node campaignReport(const CampaignOptions& options,
                           const std::string& matrixName) {
   json::Node root = json::Node::object();
   root["benchmark"] = "fuzz_campaign";
-  root["seed_base"] = (std::size_t)options.seedBase;
+  root["seed_base"] = options.seedBase;
   root["seeds"] = result.seeds;
   root["matrix"] = matrixName;
   root["points_per_program"] = result.pointsPerProgram;
@@ -262,11 +262,11 @@ json::Node campaignReport(const CampaignOptions& options,
   json::Node failures = json::Node::array();
   for (const FailureCase& fc : result.failures) {
     json::Node f = json::Node::object();
-    f["seed"] = (std::size_t)fc.verdict.seed;
+    f["seed"] = fc.verdict.seed;
     f["first_kind"] = fc.verdict.failures.front().kind;
     f["first_point"] = fc.verdict.failures.front().pointLabel();
     f["note"] = fc.verdict.failures.front().detail;
-    f["failing_points"] = (std::size_t)fc.verdict.failingPoints().size();
+    f["failing_points"] = fc.verdict.failingPoints().size();
     if (!fc.corpusPath.empty()) f["corpus_path"] = fc.corpusPath;
     if (!fc.reducedPath.empty()) {
       f["reduced_path"] = fc.reducedPath;

@@ -185,11 +185,12 @@ struct DiffOptions {
   std::string top;
   long maxBlockExecs = 100000;
   long maxCycles = 1000000;
-  /// Simulation engine selection: the compiled bytecode VM (default), the
-  /// tree-walking interpreters, or both with every run cross-checked. A
-  /// VM/interpreter disagreement surfaces as a "vm-divergence" /
-  /// "vm-divergence-behav" failure. The engine seed is mixed with the
-  /// program seed so sampled cross-checks stay deterministic per program.
+  /// Simulation engine selection: the compiled bytecode VM (default, with
+  /// a sampled or, at rate 1, total interpreter cross-check) or the
+  /// tree-walking interpreters. A VM/interpreter disagreement surfaces as
+  /// a "vm-divergence" / "vm-divergence-behav" failure. The engine seed is
+  /// mixed with the program seed so sampled cross-checks stay
+  /// deterministic per program.
   vm::EngineOptions engine;
 };
 

@@ -56,8 +56,6 @@ class BlockDeps {
   [[nodiscard]] const std::vector<std::size_t>& preds(std::size_t i) const {
     return preds_[i];
   }
-  /// The OpId of node `i`.
-  [[nodiscard]] OpId opAt(std::size_t i) const { return opIds_[i]; }
   [[nodiscard]] const Op& op(std::size_t i) const {
     return fn_->op(opIds_[i]);
   }

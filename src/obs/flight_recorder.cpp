@@ -12,6 +12,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/json_reader.h"
 #include "obs/trace.h"
 
 namespace mphls::obs {
@@ -318,38 +319,25 @@ std::string FlightRecorder::toJson() const {
               return a.seq < b.seq;
             });
 
-  std::string out = "{\"flight_recorder\": {\"threads\": ";
-  out += std::to_string(claimed);
-  out += ", \"capacity_per_thread\": " + std::to_string(capacity_);
-  out += ", \"total_recorded\": ";
-  out += std::to_string(seq_.load(std::memory_order_relaxed));
-  out += ", \"events_retained\": " + std::to_string(events.size());
-  out += "},\n \"events\": [";
-  char buf[48];
-  bool first = true;
+  json::Node doc = json::Node::object();
+  json::Node& meta = doc["flight_recorder"] = json::Node::object();
+  meta["threads"] = claimed;
+  meta["capacity_per_thread"] = capacity_;
+  meta["total_recorded"] = seq_.load(std::memory_order_relaxed);
+  meta["events_retained"] = events.size();
+  json::Node& list = doc["events"] = json::Node::array();
   for (const FlightEvent& e : events) {
-    out += first ? "\n  " : ",\n  ";
-    first = false;
-    out += "{\"seq\": " + std::to_string(e.seq);
-    out += ", \"t_us\": ";
-    const std::size_t n = fmtMicros(buf, e.tsMicros);
-    out.append(buf, n);
-    out += ", \"thread\": " + std::to_string(e.thread);
-    out += ", \"kind\": \"";
-    out += kindName(e.kind);
-    out += "\", \"level\": \"";
-    out += levelName(e.level);
-    out += "\", \"component\": ";
-    const std::size_t compLen =
-        ::strnlen(e.component, sizeof e.component);
-    appendJsonString(out, std::string_view(e.component, compLen));
-    out += ", \"msg\": ";
-    const std::size_t msgLen = ::strnlen(e.message, sizeof e.message);
-    appendJsonString(out, std::string_view(e.message, msgLen));
-    out += "}";
+    json::Node& o = list.push(json::Node::object());
+    o["seq"] = e.seq;
+    o["t_us"] = e.tsMicros;
+    o["thread"] = e.thread;
+    o["kind"] = kindName(e.kind);
+    o["level"] = levelName(e.level);
+    o["component"] = std::string(
+        e.component, ::strnlen(e.component, sizeof e.component));
+    o["msg"] = std::string(e.message, ::strnlen(e.message, sizeof e.message));
   }
-  out += first ? "]}\n" : "\n]}\n";
-  return out;
+  return doc.dump();
 }
 
 void FlightRecorder::installCrashHandlers(const char* path) {

@@ -5,6 +5,7 @@
 #include <ctime>
 #include <mutex>
 
+#include "common/json_reader.h"
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
 
@@ -33,7 +34,7 @@ namespace {
 
 /// Wall-clock timestamp as ISO-8601 UTC with milliseconds:
 /// "2026-08-08T12:34:56.789Z".
-void appendTimestamp(std::string& out) {
+std::string timestamp() {
   std::timespec ts{};
   std::timespec_get(&ts, TIME_UTC);
   std::tm tm{};
@@ -43,29 +44,29 @@ void appendTimestamp(std::string& out) {
                 tm.tm_year + 1900, tm.tm_mon + 1, tm.tm_mday, tm.tm_hour,
                 tm.tm_min, tm.tm_sec,
                 static_cast<int>(ts.tv_nsec / 1000000));
-  out += buf;
+  return buf;
 }
 
-void appendFieldValue(std::string& out, const LogField& f) {
-  char buf[40];
+/// The header members every record starts with.
+json::Node record(std::string_view level, std::string_view component,
+                  std::string_view msg) {
+  json::Node r = json::Node::object();
+  r["ts"] = timestamp();
+  r["level"] = std::string(level);
+  r["component"] = std::string(component);
+  r["msg"] = std::string(msg);
+  return r;
+}
+
+json::Node fieldValue(const LogField& f) {
   switch (f.kind) {
-    case LogField::Kind::Str:
-      appendJsonString(out, f.str);
-      break;
-    case LogField::Kind::I64:
-      out += std::to_string(f.i64);
-      break;
-    case LogField::Kind::U64:
-      out += std::to_string(f.u64);
-      break;
-    case LogField::Kind::F64:
-      std::snprintf(buf, sizeof buf, "%.9g", f.f64);
-      out += buf;
-      break;
-    case LogField::Kind::Bool:
-      out += f.b ? "true" : "false";
-      break;
+    case LogField::Kind::Str: return std::string(f.str);
+    case LogField::Kind::I64: return f.i64;
+    case LogField::Kind::U64: return f.u64;
+    case LogField::Kind::F64: return f.f64;
+    case LogField::Kind::Bool: return f.b;
   }
+  return {};
 }
 
 /// Compact single-line rendering for the flight recorder ring:
@@ -228,28 +229,15 @@ void Logger::log(LogLevel level, std::string_view component,
   std::string line;
   line.reserve(128 + msg.size());
   if (announceDrops > 0) {
-    line += "{\"ts\": \"";
-    appendTimestamp(line);
-    line += "\", \"level\": \"warn\", \"component\": \"log\", ";
-    line += "\"msg\": \"rate limited\", \"dropped\": ";
-    line += std::to_string(announceDrops);
-    line += "}\n";
+    json::Node notice = record("warn", "log", "rate limited");
+    notice["dropped"] = announceDrops;
+    notice.appendLine(line);
+    line += '\n';
   }
-  line += "{\"ts\": \"";
-  appendTimestamp(line);
-  line += "\", \"level\": \"";
-  line += logLevelName(level);
-  line += "\", \"component\": ";
-  appendJsonString(line, component);
-  line += ", \"msg\": ";
-  appendJsonString(line, msg);
-  for (const LogField& f : fields) {
-    line += ", ";
-    appendJsonString(line, f.key);
-    line += ": ";
-    appendFieldValue(line, f);
-  }
-  line += "}\n";
+  json::Node rec = record(logLevelName(level), component, msg);
+  for (const LogField& f : fields) rec[f.key] = fieldValue(f);
+  rec.appendLine(line);
+  line += '\n';
 
   // One fwrite per record (lines stay intact across threads: fwrite on
   // the same FILE* is atomic per POSIX) + flush so tails see it live.

@@ -1,10 +1,13 @@
 // Thread-safe leveled structured logger emitting JSONL records.
 //
-// Each record is one line of JSON: {"ts": "...", "level": "info",
-// "component": "serve", "msg": "...", <fields>} — machine-parseable by
-// any log pipeline while staying greppable. Long-running components
-// (serve daemon, fuzz campaigns, DSE sweeps) log through the process
-// global; short CLI runs leave it disabled.
+// Each record is one line of JSON, a json::Node written with dumpLine():
+//   {"ts":"2026-08-08T12:34:56.789Z","level":"info","component":"serve",
+//    "msg":"request","session":7,"ms":1.25}
+// (shown wrapped here) — machine-parseable by any log pipeline while
+// staying greppable. Integer fields print exactly, 64-bit seeds
+// included. Long-running components (serve daemon, fuzz campaigns, DSE
+// sweeps) log through the process global; short CLI runs leave it
+// disabled.
 //
 // Cost model mirrors the tracer (trace.h): instrumentation is compiled
 // in everywhere and must be near-free when logging is off. A call below
@@ -19,7 +22,8 @@
 // flight recorder is NOT rate limited — its ring overwrites itself, so
 // the most recent events always survive for post-mortem dumps.
 //
-// Zero-dependency (std + POSIX only) — see trace.h for layering.
+// Zero-dependency (std + POSIX + the JSON writer) — see trace.h for
+// layering.
 #pragma once
 
 #include <atomic>
@@ -37,7 +41,9 @@ enum class LogLevel : int { Debug = 0, Info = 1, Warn = 2, Error = 3, Off = 4 };
 [[nodiscard]] LogLevel parseLogLevel(std::string_view name);
 
 /// One key=value pair in a structured record. Exact-type constructor
-/// overloads keep integer literals from funneling into bool/double.
+/// overloads keep integer literals from funneling into bool/double. A
+/// field only views its key and value, so a call below the threshold
+/// allocates nothing; the record's json::Node is built when it is written.
 struct LogField {
   enum class Kind { Str, I64, U64, F64, Bool };
 

@@ -1,9 +1,8 @@
 #include "obs/metrics.h"
 
 #include <cstdio>
-#include <fstream>
 
-#include "obs/trace.h"
+#include "common/json_reader.h"
 
 namespace mphls::obs {
 
@@ -127,54 +126,35 @@ MetricsRegistry::Snapshot MetricsRegistry::snapshot() const {
 
 namespace {
 
+/// The Prometheus exposition's number format.
 void appendNumber(std::string& out, double v) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.9g", v);
   out += buf;
 }
 
+json::Node snapshotJson(const MetricsRegistry::Snapshot& s) {
+  json::Node doc = json::Node::object();
+  json::Node& counters = doc["counters"] = json::Node::object();
+  for (const auto& [name, v] : s.counters) counters[name] = v;
+  json::Node& gauges = doc["gauges"] = json::Node::object();
+  for (const auto& [name, v] : s.gauges) gauges[name] = v;
+  json::Node& hists = doc["histograms"] = json::Node::object();
+  for (const auto& [name, h] : s.histograms) {
+    json::Node& o = hists[name] = json::Node::object();
+    o["count"] = h.count;
+    o["sum"] = h.sum;
+    o["min"] = h.min;
+    o["max"] = h.max;
+    o["mean"] = h.mean();
+  }
+  return doc;
+}
+
 }  // namespace
 
 std::string MetricsRegistry::toJson() const {
-  const Snapshot s = snapshot();
-  std::string out = "{\n  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, v] : s.counters) {
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    appendJsonString(out, name);
-    out += ": " + std::to_string(v);
-  }
-  out += first ? "}" : "\n  }";
-  out += ",\n  \"gauges\": {";
-  first = true;
-  for (const auto& [name, v] : s.gauges) {
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    appendJsonString(out, name);
-    out += ": ";
-    appendNumber(out, v);
-  }
-  out += first ? "}" : "\n  }";
-  out += ",\n  \"histograms\": {";
-  first = true;
-  for (const auto& [name, h] : s.histograms) {
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    appendJsonString(out, name);
-    out += ": {\"count\": " + std::to_string(h.count) + ", \"sum\": ";
-    appendNumber(out, h.sum);
-    out += ", \"min\": ";
-    appendNumber(out, h.min);
-    out += ", \"max\": ";
-    appendNumber(out, h.max);
-    out += ", \"mean\": ";
-    appendNumber(out, h.mean());
-    out += "}";
-  }
-  out += first ? "}" : "\n  }";
-  out += "\n}\n";
-  return out;
+  return snapshotJson(snapshot()).dump();
 }
 
 namespace {
@@ -237,10 +217,7 @@ std::string MetricsRegistry::toPrometheus() const {
 }
 
 bool MetricsRegistry::writeJson(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << toJson();
-  return static_cast<bool>(out);
+  return json::writeFile(path, snapshotJson(snapshot()));
 }
 
 void MetricsRegistry::reset() {

@@ -3,7 +3,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 
+#include "common/json_reader.h"
 #include "obs/flight_recorder.h"
 
 namespace mphls::obs {
@@ -179,50 +181,67 @@ void appendJsonString(std::string& out, std::string_view s) {
   out += '"';
 }
 
-std::string Tracer::chromeTraceJson() const {
-  const auto tracks = snapshot();
-  std::string out = "{\"traceEvents\": [";
-  bool first = true;
-  auto sep = [&] {
-    if (!first) out += ",";
-    out += "\n  ";
-    first = false;
-  };
-  for (const auto& t : tracks) {
-    sep();
-    out += "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": " +
-           std::to_string(t.tid) + ", \"args\": {\"name\": ";
-    appendJsonString(out, t.name);
-    out += "}}";
+void Tracer::writeChromeTrace(std::ostream& out) const {
+  std::vector<std::shared_ptr<ThreadBuf>> bufs;
+  {
+    std::lock_guard<std::mutex> lk(m_);
+    bufs = threads_;
   }
-  char ts[40];
-  for (const auto& t : tracks) {
-    for (const TraceEvent& e : t.events) {
-      sep();
-      out += "{\"name\": ";
-      appendJsonString(out, e.name);
-      out += ", \"cat\": \"mphls\", \"ph\": \"";
-      out += e.phase;
-      out += "\", \"pid\": 1, \"tid\": " + std::to_string(t.tid);
-      std::snprintf(ts, sizeof ts, ", \"ts\": %.3f", e.tsMicros);
-      out += ts;
-      if (e.phase == 'i') out += ", \"s\": \"t\"";
-      if (!e.arg.empty()) {
-        out += ", \"args\": {\"detail\": ";
-        appendJsonString(out, e.arg);
-        out += "}";
-      }
-      out += "}";
+  // The frame is a Node too, cut open at its empty event list. Events go
+  // into the cut one Node at a time, each written out as it is built, so
+  // exporting holds one event's tree, never the whole document's.
+  json::Node frame = json::Node::object();
+  frame["traceEvents"] = json::Node::array();
+  frame["displayTimeUnit"] = "ms";
+  const std::string shell = frame.dumpLine();
+  const std::size_t cut = shell.find('[') + 1;
+  out.write(shell.data(), static_cast<std::streamsize>(cut));
+  bool first = true;
+  std::string line;
+  auto emit = [&](const json::Node& ev) {
+    line = first ? "\n" : ",\n";
+    first = false;
+    ev.appendLine(line);
+    out << line;
+  };
+  for (const auto& b : bufs) {
+    std::lock_guard<std::mutex> lk(b->m);
+    json::Node ev = json::Node::object();
+    ev["name"] = "thread_name";
+    ev["ph"] = "M";
+    ev["pid"] = 1;
+    ev["tid"] = b->tid;
+    ev["args"]["name"] = b->name;
+    emit(ev);
+  }
+  for (const auto& b : bufs) {
+    std::lock_guard<std::mutex> lk(b->m);
+    for (const TraceEvent& e : b->events) {
+      json::Node ev = json::Node::object();
+      ev["name"] = e.name;
+      ev["cat"] = "mphls";
+      ev["ph"] = std::string(1, e.phase);
+      ev["pid"] = 1;
+      ev["tid"] = b->tid;
+      ev["ts"] = e.tsMicros;
+      if (e.phase == 'i') ev["s"] = "t";
+      if (!e.arg.empty()) ev["args"]["detail"] = e.arg;
+      emit(ev);
     }
   }
-  out += "\n], \"displayTimeUnit\": \"ms\"}\n";
-  return out;
+  out << '\n' << std::string_view(shell).substr(cut) << '\n';
+}
+
+std::string Tracer::chromeTraceJson() const {
+  std::ostringstream out;
+  writeChromeTrace(out);
+  return std::move(out).str();
 }
 
 bool Tracer::writeChromeTrace(const std::string& path) const {
   std::ofstream out(path);
   if (!out) return false;
-  out << chromeTraceJson();
+  writeChromeTrace(out);
   return static_cast<bool>(out);
 }
 

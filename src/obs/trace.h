@@ -15,12 +15,14 @@
 // is what the pre-existing stage timers did; the span is then the single
 // source of truth for both the trace event and the accumulated seconds.
 //
-// This layer is deliberately zero-dependency (std only): common/ links
-// against it, so it cannot use anything above obs/.
+// This layer is deliberately zero-dependency (std only, plus the JSON
+// writer common/json_reader.cpp, which is built into this library):
+// common/ links against it, so it cannot use anything above obs/.
 #pragma once
 
 #include <atomic>
 #include <chrono>
+#include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -88,7 +90,9 @@ class Tracer {
   [[nodiscard]] std::size_t eventCount() const;
 
   /// Chrome trace_event JSON ({"traceEvents": [...]}), with one metadata
-  /// event naming each track. Loadable in Perfetto / chrome://tracing.
+  /// event naming each track, one event per line. Loadable in Perfetto /
+  /// chrome://tracing. Written event by event, so a file export needs no
+  /// copy of the whole document.
   [[nodiscard]] std::string chromeTraceJson() const;
   bool writeChromeTrace(const std::string& path) const;
 
@@ -103,6 +107,7 @@ class Tracer {
 
  private:
   ThreadBuf& localBuf();
+  void writeChromeTrace(std::ostream& out) const;
 
   mutable std::mutex m_;  ///< guards threads_ (track registry)
   std::vector<std::shared_ptr<ThreadBuf>> threads_;
@@ -158,7 +163,7 @@ class TraceSpan {
 /// Append a JSON string literal (quotes included), escaping control
 /// characters and validating UTF-8: every byte of an invalid sequence
 /// is replaced by U+FFFD so the output is always valid JSON/UTF-8.
-/// Shared by the trace, metrics, and log exporters and json::Node::dump.
+/// The escaper of json::Node's writer, the one JSON writer.
 void appendJsonString(std::string& out, std::string_view s);
 
 }  // namespace mphls::obs

@@ -1,6 +1,6 @@
 #include "serve/http.h"
 
-#include "obs/trace.h"
+#include "common/json_reader.h"
 
 namespace mphls::serve {
 
@@ -209,12 +209,15 @@ std::string renderResponse(int code, std::string_view body, bool keepAlive,
   return out;
 }
 
+std::string errorBody(const std::string& reason) {
+  json::Node j = json::Node::object();
+  j["error"] = reason;
+  return j.dumpLine() + "\n";
+}
+
 std::string renderErrorResponse(int code, const std::string& reason,
                                 bool keepAlive) {
-  std::string body = "{\"error\":";
-  obs::appendJsonString(body, reason);
-  body += "}\n";
-  return renderResponse(code, body, keepAlive);
+  return renderResponse(code, errorBody(reason), keepAlive);
 }
 
 }  // namespace mphls::serve

@@ -91,7 +91,12 @@ class HttpParser {
     int code, std::string_view body, bool keepAlive,
     std::string_view contentType = "application/json");
 
-/// {"error": reason} body + renderResponse, the daemon's error shape.
+/// The daemon's error body, {"error":<reason>} on one line plus a newline:
+/// the service's error responses and the server's own (parse errors,
+/// overload) share it.
+[[nodiscard]] std::string errorBody(const std::string& reason);
+
+/// errorBody(reason) + renderResponse.
 [[nodiscard]] std::string renderErrorResponse(int code,
                                               const std::string& reason,
                                               bool keepAlive);

@@ -102,7 +102,8 @@ LoadgenReport runLoadgen(const LoadgenOptions& opts) {
   // /sim requests run with meaningful inputs.
   struct DesignInfo {
     std::string name;
-    std::vector<std::pair<std::string, double>> inputs;  ///< port, value
+    /// port, value
+    std::vector<std::pair<std::string, std::uint64_t>> inputs;
   };
   std::vector<DesignInfo> designs;
   {
@@ -122,7 +123,7 @@ LoadgenReport runLoadgen(const LoadgenOptions& opts) {
       info.name = d->getString("name");
       if (const json::Node* si = d->get("sample_inputs"))
         for (const auto& [k, v] : si->members())
-          info.inputs.emplace_back(k, v->number());
+          info.inputs.emplace_back(k, v->uint64().value_or(0));
       designs.push_back(std::move(info));
     }
   }

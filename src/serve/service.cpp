@@ -1,6 +1,7 @@
 #include "serve/service.h"
 
 #include <climits>
+#include <optional>
 
 #include "common/bench_report.h"
 #include "common/json_reader.h"
@@ -78,10 +79,7 @@ ServiceResponse fromResult(cmd::Result r) {
 }
 
 ServiceResponse errorResponse(int status, const std::string& reason) {
-  std::string body = "{\"error\":";
-  obs::appendJsonString(body, reason);
-  body += "}\n";
-  return {status, std::move(body)};
+  return {status, errorBody(reason)};
 }
 
 /// Value of `key` in an application/x-www-form-urlencoded query string
@@ -129,7 +127,7 @@ ServiceResponse handleDesigns() {
     o["name"] = std::string(d.name);
     o["source"] = std::string(d.source);
     json::Node in = json::Node::object();
-    for (const auto& [k, v] : d.sampleInputs) in[k] = (double)v;
+    for (const auto& [k, v] : d.sampleInputs) in[k] = v;
     o["sample_inputs"] = std::move(in);
     arr.push(std::move(o));
   }
@@ -182,7 +180,9 @@ ServiceResponse Service::handle(const HttpRequest& req,
                         "session " + std::to_string(sessionId));
     try {
       if (path == "/healthz") {
-        resp = {200, "{\"status\":\"ok\"}\n"};
+        json::Node ok = json::Node::object();
+        ok["status"] = "ok";
+        resp = {200, ok.dumpLine() + "\n"};
       } else if (path == "/metrics") {
         resp = handleMetrics(query);
       } else if (path == "/designs") {
@@ -223,13 +223,14 @@ ServiceResponse Service::handle(const HttpRequest& req,
               badInputs = true;
             } else {
               for (const auto& [k, v] : in->members()) {
-                // Below 2^64: a larger double has no uint64_t value.
-                if (!v->isNumber() ||
-                    !(v->number() >= 0 && v->number() < 0x1p64)) {
+                // Integer literals in [0, 2^64) only: a fraction, an
+                // exponent or a negative value has no exact port value.
+                const std::optional<std::uint64_t> u = v->uint64();
+                if (!u) {
                   badInputs = true;
                   break;
                 }
-                inputs[k] = (std::uint64_t)v->number();
+                inputs[k] = *u;
               }
             }
           }

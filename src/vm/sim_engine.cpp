@@ -26,7 +26,6 @@ bool sampleDraw(const EngineOptions& opts, std::uint64_t& draws) {
 }
 
 bool wantCheck(const EngineOptions& opts, std::uint64_t& draws) {
-  if (opts.kind == EngineKind::Both) return true;
   if (opts.kind != EngineKind::Vm) return false;
   return sampleDraw(opts, draws);
 }
@@ -50,7 +49,6 @@ std::string_view engineKindName(EngineKind k) {
   switch (k) {
     case EngineKind::Interp: return "interp";
     case EngineKind::Vm: return "vm";
-    case EngineKind::Both: return "both";
   }
   return "?";
 }
@@ -58,7 +56,6 @@ std::string_view engineKindName(EngineKind k) {
 bool parseEngineKind(const std::string& name, EngineKind& out) {
   if (name == "interp") out = EngineKind::Interp;
   else if (name == "vm") out = EngineKind::Vm;
-  else if (name == "both") out = EngineKind::Both;
   else return false;
   return true;
 }

@@ -4,13 +4,13 @@
 // An engine wraps one design at one level (behavioral Function or
 // synthesized RtlDesign) and owns its compiled program plus reusable run
 // state — constructing the engine once per (design, matrix point) is
-// exactly the compile cache the fuzz matrix needs. Three modes:
+// exactly the compile cache the fuzz matrix needs. Two modes:
 //
 //   - Interp: the original tree-walking interpreter, unchanged.
 //   - Vm:     the bytecode VM, with a configurable sampling rate that
 //             re-runs a fraction of executions on the interpreter and
-//             hard-fails (DivergenceError) if any observable differs.
-//   - Both:   every execution runs on both and is compared.
+//             hard-fails (DivergenceError) if any observable differs;
+//             rate 1 checks every execution.
 //
 // The cross-check sampler is deterministic (splitmix64 over the seed and a
 // per-engine draw counter), so a campaign checks the same runs at any job
@@ -28,17 +28,17 @@
 
 namespace mphls::vm {
 
-enum class EngineKind { Interp, Vm, Both };
+enum class EngineKind { Interp, Vm };
 
 [[nodiscard]] std::string_view engineKindName(EngineKind k);
 
-/// Parse "interp" | "vm" | "both"; returns false on anything else.
+/// Parse "interp" | "vm"; returns false on anything else.
 bool parseEngineKind(const std::string& name, EngineKind& out);
 
 struct EngineOptions {
   EngineKind kind = EngineKind::Vm;
   /// Fraction of VM executions re-run on the interpreter oracle (Vm mode
-  /// only; Both always checks, Interp never). Clamped to [0, 1].
+  /// only). Clamped to [0, 1].
   double crossCheck = 0.02;
   /// Stream seed for the cross-check sampler.
   std::uint64_t seed = 0;
@@ -80,7 +80,7 @@ class RtlSim {
 
   /// Same contract as RtlSimulator::run. The observer (VCD, coverage) is
   /// fed by the primary engine's per-cycle snapshots — natively by the
-  /// RTL VM in Vm/Both modes; cross-check re-runs are unobserved.
+  /// RTL VM in Vm mode; cross-check re-runs are unobserved.
   [[nodiscard]] RtlExecResult run(
       const std::map<std::string, std::uint64_t>& inputs,
       long maxCycles = 1000000, const SimObserver& observe = {}) const;

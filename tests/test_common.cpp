@@ -1,11 +1,8 @@
-// Unit tests for src/common: ids, bit utilities, intervals, disjoint sets,
-// fixed-point helpers, diagnostics.
+// Unit tests for src/common: ids, bit utilities, intervals, diagnostics.
 #include <gtest/gtest.h>
 
 #include "common/bitutil.h"
 #include "common/diag.h"
-#include "common/disjoint_set.h"
-#include "common/fixedpoint.h"
 #include "common/ids.h"
 #include "common/interval.h"
 
@@ -104,32 +101,6 @@ TEST(Interval, EmptyAndLength) {
   EXPECT_TRUE(e.empty());
   EXPECT_EQ(e.length(), 0);
   EXPECT_EQ((LiveInterval{1, 5}).length(), 4);
-}
-
-TEST(DisjointSet, UniteAndFind) {
-  DisjointSet ds(5);
-  EXPECT_TRUE(ds.unite(0, 1));
-  EXPECT_TRUE(ds.unite(1, 2));
-  EXPECT_FALSE(ds.unite(0, 2));
-  EXPECT_TRUE(ds.same(0, 2));
-  EXPECT_FALSE(ds.same(0, 3));
-  EXPECT_EQ(ds.sizeOf(2), 3u);
-  EXPECT_EQ(ds.sizeOf(4), 1u);
-}
-
-TEST(FixedPoint, RoundTrip) {
-  const int kFrac = 12;
-  double x = 0.222222;
-  auto raw = toFixed(x, kFrac);
-  EXPECT_NEAR(fromFixed(raw, kFrac), x, 1.0 / (1 << kFrac));
-}
-
-TEST(FixedPoint, MulDiv) {
-  const int kFrac = 12;
-  auto a = toFixed(0.5, kFrac);
-  auto b = toFixed(0.25, kFrac);
-  EXPECT_NEAR(fromFixed(fixedMul(a, b, kFrac), kFrac), 0.125, 0.001);
-  EXPECT_NEAR(fromFixed(fixedDiv(b, a, kFrac), kFrac), 0.5, 0.001);
 }
 
 TEST(Diag, ErrorsGateOk) {

@@ -298,6 +298,28 @@ TEST(FuzzCampaign, ReportCarriesTheCampaignShape) {
   EXPECT_NE(s.find("\"failing_programs\": 0"), std::string::npos);
 }
 
+TEST(FuzzCampaign, ReportKeepsSeedsAbove2To53Exact) {
+  // 2^53+1 has no double: the report must name the seeds that ran, or a
+  // replay of a reported failure runs a different program.
+  constexpr std::uint64_t kBase = 9007199254740993ULL;
+  fuzz::CampaignOptions c;
+  c.seedBase = kBase;
+  c.seeds = 2;
+  c.diff = quickDiff();
+  c.diff.inject = fuzz::InjectedBug::MulToAdd;
+  fuzz::CampaignResult r = fuzz::runCampaign(c);
+  ASSERT_FALSE(r.failures.empty());
+  const std::string s = fuzz::campaignReport(c, r, "quick").dump();
+  const auto doc = json::parse(s);
+  ASSERT_NE(doc, nullptr) << s;
+  EXPECT_EQ(doc->get("seed_base")->uint64(), kBase) << s;
+  for (std::size_t i = 0; i < r.failures.size(); ++i) {
+    const std::uint64_t seed = r.failures[i].verdict.seed;
+    EXPECT_GE(seed, kBase);
+    EXPECT_EQ(doc->get("failures")->at(i)->get("seed")->uint64(), seed);
+  }
+}
+
 // ------------------------------------------------------ regression corpus
 
 TEST(FuzzRegress, FixtureCorpusPassesTheQuickMatrix) {

@@ -185,6 +185,15 @@ TEST(Integration, DiffeqMatchesReferenceEuler) {
             "");
 }
 
+TEST(Integration, VerifyReportsAMissingInput) {
+  // An unset input port is that run's verify failure, not an abort; an
+  // input the design does not have is ignored.
+  Synthesizer synth{SynthesisOptions{}};
+  SynthesisResult r = synth.synthesizeSource(designs::sqrtSource());
+  EXPECT_EQ(verifyAgainstBehavior(r, {{"zz", 1}}), "missing input 'x'");
+  EXPECT_EQ(verifyAgainstBehavior(r, {{"x", 2048}, {"zz", 1}}), "");
+}
+
 // ------------------------------------------------------------- estimation
 
 TEST(Integration, MoreUnitsMoreAreaFewerSteps) {

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -96,7 +97,8 @@ TEST(Log, JsonlRecordShapeAndFieldTypes) {
            {"ms", 1.5},
            {"hit", true},
            {"neg", -7},
-           {"big", (unsigned long long)0xffffffffffffffffULL}});
+           {"big", (unsigned long long)0xffffffffffffffffULL},
+           {"seed", (unsigned long long)9007199254740993ULL}});
   lg.error("core", "weird \"msg\"\nwith\tescapes");
   lg.resetForTest();  // closes + flushes the sink
 
@@ -113,6 +115,10 @@ TEST(Log, JsonlRecordShapeAndFieldTypes) {
   EXPECT_TRUE(rec->getBool("hit"));
   EXPECT_EQ(rec->getNumber("neg"), -7);
   EXPECT_EQ(rec->getNumber("big"), 18446744073709551615.0);
+  // 64-bit fields keep every digit: 2^64-1, and 2^53+1 (a fuzz seed no
+  // double can hold).
+  EXPECT_EQ(rec->get("big")->uint64(), 0xffffffffffffffffULL);
+  EXPECT_EQ(rec->get("seed")->uint64(), 9007199254740993ULL);
   // Timestamps are ISO-8601 UTC with millisecond precision.
   const std::string ts = rec->getString("ts");
   ASSERT_EQ(ts.size(), 24u) << ts;
@@ -147,8 +153,13 @@ TEST(Log, LevelFiltering) {
 
   const auto lines = readLines(file);
   ASSERT_EQ(lines.size(), 2u);
-  EXPECT_NE(lines[0].find("kept-warn"), std::string::npos);
-  EXPECT_NE(lines[1].find("kept-error"), std::string::npos);
+  const auto warn = json::parse(lines[0]);
+  const auto err = json::parse(lines[1]);
+  ASSERT_TRUE(warn && err) << lines[0] << "\n" << lines[1];
+  EXPECT_EQ(warn->getString("msg"), "kept-warn");
+  EXPECT_EQ(warn->getString("level"), "warn");
+  EXPECT_EQ(err->getString("msg"), "kept-error");
+  EXPECT_EQ(err->getString("level"), "error");
 }
 
 TEST(Log, RateLimitDropsAndAnnounces) {
@@ -171,12 +182,19 @@ TEST(Log, RateLimitDropsAndAnnounces) {
 
   const auto lines = readLines(file);
   ASSERT_GE(lines.size(), 4u);
-  EXPECT_NE(lines[0].find("burst 0"), std::string::npos);
-  EXPECT_NE(lines[2].find("burst 2"), std::string::npos);
+  std::vector<std::unique_ptr<json::Node>> recs;
+  for (const auto& l : lines) {
+    recs.push_back(json::parse(l));
+    ASSERT_TRUE(recs.back()) << l;
+  }
+  EXPECT_EQ(recs[0]->getString("msg"), "burst 0");
+  EXPECT_EQ(recs[2]->getString("msg"), "burst 2");
   bool announced = false;
-  for (const auto& l : lines)
-    if (l.find("rate limited") != std::string::npos &&
-        l.find("47") != std::string::npos)
+  for (const auto& r : recs)
+    if (r->getString("msg") == "rate limited" &&
+        r->getString("level") == "warn" &&
+        r->getString("component") == "log" &&
+        r->getNumber("dropped") == 47)
       announced = true;
   EXPECT_TRUE(announced) << "drop notice missing";
 }

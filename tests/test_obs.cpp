@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json_reader.h"
 #include "common/thread_pool.h"
 #include "core/designs.h"
 #include "core/synthesizer.h"
@@ -108,17 +109,40 @@ TEST(Tracer, ChromeTraceJsonSchema) {
   tr.disable();
 
   const std::string json = tr.chromeTraceJson();
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"displayTimeUnit\": \"ms\""), std::string::npos);
-  // Metadata event names the track.
-  EXPECT_NE(json.find("\"thread_name\""), std::string::npos);
-  EXPECT_NE(json.find("test-main"), std::string::npos);
   // Escaping: the quote and newline must not appear raw.
   EXPECT_NE(json.find("stage.\\\"quoted\\\""), std::string::npos);
   EXPECT_NE(json.find("a\\nb"), std::string::npos);
-  // One B and one E for the span.
-  EXPECT_NE(json.find("\"ph\": \"B\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\": \"E\""), std::string::npos);
+
+  const auto doc = json::parse(json);
+  ASSERT_NE(doc, nullptr) << json;
+  EXPECT_EQ(doc->getString("displayTimeUnit"), "ms");
+  const json::Node* events = doc->get("traceEvents");
+  ASSERT_NE(events, nullptr);
+  ASSERT_TRUE(events->isArray());
+  // A metadata event names this thread's track; the span is one B with
+  // the detail argument and one E, both on that track.
+  double tid = -1;
+  for (const auto& e : events->items())
+    if (e->getString("name") == "thread_name" && e->getString("ph") == "M" &&
+        e->get("args") && e->get("args")->getString("name") == "test-main")
+      tid = e->getNumber("tid");
+  ASSERT_GE(tid, 0) << json;
+  int begins = 0, ends = 0;
+  for (const auto& e : events->items()) {
+    if (e->getString("name") != "stage.\"quoted\"") continue;
+    EXPECT_EQ(e->getNumber("tid"), tid);
+    EXPECT_EQ(e->getString("cat"), "mphls");
+    EXPECT_TRUE(e->get("ts") && e->get("ts")->isNumber());
+    if (e->getString("ph") == "B") {
+      ++begins;
+      ASSERT_NE(e->get("args"), nullptr);
+      EXPECT_EQ(e->get("args")->getString("detail"), "a\nb");
+    } else if (e->getString("ph") == "E") {
+      ++ends;
+    }
+  }
+  EXPECT_EQ(begins, 1);
+  EXPECT_EQ(ends, 1);
 }
 
 TEST(Tracer, AppendJsonStringEscapes) {

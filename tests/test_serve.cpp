@@ -11,6 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -281,11 +284,51 @@ TEST(ServeJsonReader, BuiltDocumentsRoundTrip) {
   nested["list"].push("x\n\"y\"");
   nested["list"].push(json::Node::object())["deep"] = 2.5;
   doc["key \"quoted\"\t\\"] = "\x01";
+  // 64-bit integers stay exact: 2^53+1 (the first a double rounds),
+  // 2^64-1 and -2^63.
+  doc["two53p1"] = 9007199254740993ULL;
+  doc["u64max"] = std::numeric_limits<std::uint64_t>::max();
+  doc["i64min"] = std::numeric_limits<long long>::min();
 
   const std::string text = doc.dump();
   const auto back = json::parse(text);
   ASSERT_NE(back, nullptr) << text;
   EXPECT_EQ(back->dump(), text);
+  EXPECT_NE(text.find("\"two53p1\": 9007199254740993"), std::string::npos);
+  EXPECT_NE(text.find("\"u64max\": 18446744073709551615"), std::string::npos);
+  EXPECT_NE(text.find("\"i64min\": -9223372036854775808"), std::string::npos);
+  EXPECT_EQ(back->get("two53p1")->uint64(), 9007199254740993ULL);
+  EXPECT_EQ(back->get("u64max")->uint64(),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(back->get("i64min")->uint64(), std::nullopt);
+  EXPECT_EQ(back->get("tenth")->uint64(), std::nullopt);
+
+  // The single-line form: the same document without whitespace, which
+  // parses back to the same tree.
+  const std::string line = doc.dumpLine();
+  EXPECT_EQ(line.find('\n'), std::string::npos) << line;
+  const auto lineBack = json::parse(line);
+  ASSERT_NE(lineBack, nullptr) << line;
+  EXPECT_EQ(lineBack->dump(), text);
+  EXPECT_EQ(lineBack->dumpLine(), line);
+  // Every kind, empty containers and escapes, byte for byte.
+  json::Node small = json::Node::object();
+  small["n"] = json::Node();
+  small["t"] = true;
+  small["i"] = -3;
+  small["u"] = 18446744073709551615ULL;
+  small["d"] = 2.5;
+  small["s"] = "q\"\\\n\x01";
+  small["a"] = json::Node::array();
+  small["o"] = json::Node::object();
+  small["l"].push(1);
+  small["l"].push(json::Node::object())["k"] = false;
+  EXPECT_EQ(small.dumpLine(),
+            "{\"n\":null,\"t\":true,\"i\":-3,\"u\":18446744073709551615,"
+            "\"d\":2.5,\"s\":\"q\\\"\\\\\\n\\u0001\",\"a\":[],\"o\":{},"
+            "\"l\":[1,{\"k\":false}]}");
+  EXPECT_EQ(json::Node::array().dumpLine(), "[]");
+  EXPECT_EQ(json::Node::object().dumpLine(), "{}");
   EXPECT_TRUE(back->get("nan")->isNull());
   EXPECT_NE(text.find("\"nan\": null"), std::string::npos) << text;
   EXPECT_DOUBLE_EQ(back->getNumber("tenth"), 0.1);
@@ -326,9 +369,9 @@ TEST(ServeService, MalformedBodiesAre400) {
   const serve::Service svc = makeService();
   // Broken JSON, non-object, missing source, unknown builtin, bad option
   // keys (the stage-exit checks have no switch), bad option value,
-  // non-object options, bad /sim inputs,
-  // numbers with no int (or uint64_t) value: out of range or fractional,
-  // and a string that is not valid UTF-8.
+  // non-object options, bad /sim inputs (each must be an integer literal
+  // in [0, 2^64)), numbers with no int (or uint64_t) value: out of range
+  // or fractional, and a string that is not valid UTF-8.
   // `error`, when set, must appear in the body.
   struct Case {
     const char* target;
@@ -359,6 +402,8 @@ TEST(ServeService, MalformedBodiesAre400) {
        "bad time_constraint"},
       {"/sta", "{\"design\": \"sqrt\", \"paths\": 1e300}", nullptr},
       {"/sim", "{\"design\": \"sqrt\", \"inputs\": {\"x\": 1e30}}", nullptr},
+      {"/sim", "{\"design\": \"sqrt\", \"inputs\": {\"x\": 2.5}}",
+       "must map ports to numbers"},
       {"/synth", "{\"design\": \"sqrt\", \"name\": \"a\xff\"}",
        "invalid JSON body: invalid UTF-8 in string at offset 29"},
   };
@@ -370,6 +415,24 @@ TEST(ServeService, MalformedBodiesAre400) {
       EXPECT_NE(r.body.find(c.error), std::string::npos) << r.body;
     }
   }
+}
+
+TEST(ServeService, SimEchoesLargeIntegersExactly) {
+  // 2^53+1 has no double; the port value must survive the request body,
+  // the simulation and the response digit for digit.
+  const serve::Service svc = makeService();
+  const serve::ServiceResponse r = svc.handle(
+      makePost("/sim",
+               "{\"source\": \"proc p(in a: uint<64>, out y: uint<64>) "
+               "{ y = a; }\", \"inputs\": {\"a\": 9007199254740993}}"),
+      1);
+  ASSERT_EQ(r.status, 200) << r.body;
+  const auto doc = json::parse(r.body);
+  ASSERT_NE(doc, nullptr) << r.body;
+  EXPECT_EQ(doc->get("inputs")->get("a")->uint64(), 9007199254740993ULL);
+  EXPECT_EQ(doc->get("outputs")->get("y")->uint64(), 9007199254740993ULL);
+  EXPECT_NE(r.body.find("\"y\": 9007199254740993"), std::string::npos)
+      << r.body;
 }
 
 TEST(ServeService, CompileErrorsAre422) {

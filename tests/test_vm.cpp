@@ -392,9 +392,9 @@ TEST(VmEngine, CompilesOncePerEngine) {
 
 // ------------------------------------------------------------- engine modes
 
-TEST(VmEngine, BothModeRunsCleanOnBuiltins) {
+TEST(VmEngine, FullCrossCheckRunsCleanOnBuiltins) {
   vm::EngineOptions both;
-  both.kind = vm::EngineKind::Both;
+  both.crossCheck = 1;  // every run re-checked on the interpreter
   for (const auto& d : designs::all()) {
     Function fn = compileBdlOrThrow(d.source);
     vm::BehavSim behav(fn, both);
