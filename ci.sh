@@ -12,19 +12,19 @@
 # tolerated), an AddressSanitizer+UBSan pass over the whole suite
 # (observability layer and VM dispatch loop included), a ThreadSanitizer
 # pass over the parallel-DSE layer and the serve daemon, a Release (-O3
-# -Werror) build of the full tree, bench smoke runs with schema checks of
-# the emitted BENCH_dse.json, BENCH_sim.json and BENCH_sta.json, an
-# observability
-# smoke run validating the Chrome trace, metrics JSON, and VCD waveform
-# from `mphls profile`, a --verify missing-input check, and a serve smoke:
+# -Werror) build of the full tree, the speed-ratio tests against the
+# scheduler and simulator oracles (mphls_speed_tests, Release), an
+# observability smoke run validating the Chrome trace, metrics JSON, and
+# VCD waveform from `mphls profile`, a --verify missing-input check, and a
+# serve smoke:
 # daemon on an ephemeral port, byte-diff of every endpoint against the
 # offline CLI, an exact 64-bit /sim echo, a concurrent
 # loadgen run with a schema check of BENCH_serve.json, a Prometheus
 # text-exposition gate (TYPE lines, cumulative buckets, _sum/_count
 # consistency), a SIGQUIT flight-recorder dump smoke against the live
-# daemon, a structured access-log schema check, a graceful SIGTERM
-# drain, and a bench --check regression gate comparing every smoke
-# report against the committed bench/baselines.
+# daemon, a structured access-log schema check, and a graceful SIGTERM
+# drain. Performance is measured by perfbench (python3 perfbench/run.py),
+# not here.
 set -eu
 
 cd "$(dirname "$0")"
@@ -60,6 +60,12 @@ EOF
 # among them); the tree must stay warnings-clean there too.
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release -DMPHLS_WERROR=ON
 cmake --build build-release -j"$(nproc)"
+
+# --- Speed ratios against the oracles: the incremental force-directed
+# scheduler against the from-scratch reference, and the bytecode VM against
+# both interpreters (tests/test_speed.cpp). Release build only; not part of
+# ctest, so the sanitizer passes carry no timing checks.
+./build-release/tests/mphls_speed_tests --gtest_brief=1
 
 # --- Semantic-lint gate: the abstract-interpretation lints must report no
 # error-severity finding on any built-in design (warnings are allowed and
@@ -165,116 +171,6 @@ cmake --build build-tsan -j"$(nproc)" --target mphls_tests
 ./build-tsan/tests/mphls_tests \
   --gtest_filter='DseParallel*:Serve*:ObsConcurrency*' \
   --gtest_brief=1
-
-# --- Bench smoke: the suite must run, re-confirm determinism, and emit a
-# report with the expected schema.
-BENCH_OUT=build/bench-smoke
-mkdir -p "$BENCH_OUT"
-./build/src/cli/mphls bench --jobs 4 --points 4 --repeats 1 \
-  --sched-ops 24 --out "$BENCH_OUT" --quiet
-python3 - "$BENCH_OUT/BENCH_dse.json" "$BENCH_OUT/BENCH_sched.json" << 'EOF'
-import json, sys
-
-dse = json.load(open(sys.argv[1]))
-need = {
-    "benchmark": str, "design": str, "points": int, "jobs": int,
-    "repeats": int, "hardware_threads": int, "deterministic": bool,
-    "verilog_identical": bool, "wall_seconds_legacy": (int, float),
-    "wall_seconds_jobs1": (int, float), "wall_seconds": (int, float),
-    "points_per_sec": (int, float), "speedup_vs_1_thread": (int, float),
-    "speedup_vs_legacy": (int, float), "point_wall_seconds": list,
-    "stage_seconds": dict,
-}
-for key, ty in need.items():
-    assert key in dse, f"BENCH_dse.json missing key: {key}"
-    assert isinstance(dse[key], ty), f"BENCH_dse.json bad type for {key}"
-assert dse["deterministic"], "parallel sweep diverged from serial"
-assert dse["verilog_identical"], "parallel sweep emitted different Verilog"
-assert len(dse["point_wall_seconds"]) == dse["points"]
-for s in ("optimize", "schedule", "allocate", "control", "estimate",
-          "check", "total"):
-    assert s in dse["stage_seconds"], f"stage_seconds missing {s}"
-
-sched = json.load(open(sys.argv[2]))
-assert sched["all_equal"], "incremental scheduler diverged from reference"
-assert sched["cases"], "BENCH_sched.json has no cases"
-for c in sched["cases"]:
-    assert c["equal"], f"scheduler case {c['name']} diverged"
-
-print("bench smoke: schema ok, deterministic, schedulers equal")
-EOF
-
-# --- Simulation-throughput smoke: interp-vs-VM bench must run and emit a
-# report with the expected schema (single repeat: CI checks shape and
-# sanity, not the headline speedup, which BENCH_sim.json reports from
-# best-of-5 runs).
-./build/src/cli/mphls bench --sim --repeats 1 --out "$BENCH_OUT" --quiet
-python3 - "$BENCH_OUT/BENCH_sim.json" << 'EOF'
-import json, sys
-
-sim = json.load(open(sys.argv[1]))
-need = {
-    "benchmark": str, "repeats": int,
-    "behav_speedup_geomean": (int, float), "behav_speedup_min": (int, float),
-    "rtl_speedup_geomean": (int, float), "rtl_speedup_min": (int, float),
-    "designs": list, "fuzz": dict, "wall_seconds": (int, float),
-}
-for key, ty in need.items():
-    assert key in sim, f"BENCH_sim.json missing key: {key}"
-    assert isinstance(sim[key], ty), f"BENCH_sim.json bad type for {key}"
-assert sim["benchmark"] == "sim_throughput"
-assert sim["designs"], "BENCH_sim.json has no designs"
-for d in sim["designs"]:
-    assert "name" in d, "BENCH_sim.json design missing name"
-    for key in ("interp_runs_per_sec", "vm_runs_per_sec", "speedup"):
-        assert key in d["behavioral"], f"design behavioral missing {key}"
-    for key in ("cycles_per_run", "interp_cycles_per_sec",
-                "vm_cycles_per_sec", "speedup", "vm_compile_seconds"):
-        assert key in d["rtl"], f"design rtl missing {key}"
-    assert d["behavioral"]["speedup"] > 0 and d["rtl"]["speedup"] > 0
-for key in ("seeds", "matrix", "cosims", "interp_seconds", "vm_seconds",
-            "interp_cosims_per_sec", "vm_cosims_per_sec", "speedup"):
-    assert key in sim["fuzz"], f"BENCH_sim.json fuzz missing key: {key}"
-
-print("sim bench smoke: schema ok, "
-      f"rtl geomean {sim['rtl_speedup_geomean']:.1f}x (single repeat)")
-EOF
-
-# --- STA bench smoke: the timing-analysis suite must run over every
-# built-in, close timing everywhere, and emit a report with the expected
-# schema.
-./build/src/cli/mphls bench --sta --repeats 1 --out "$BENCH_OUT" --quiet
-python3 - "$BENCH_OUT/BENCH_sta.json" << 'EOF'
-import json, sys
-
-sta = json.load(open(sys.argv[1]))
-need = {
-    "benchmark": str, "repeats": int, "designs": list,
-    "all_closed": bool, "worst_slack": (int, float),
-    "wall_seconds": (int, float),
-}
-for key, ty in need.items():
-    assert key in sta, f"BENCH_sta.json missing key: {key}"
-    assert isinstance(sta[key], ty), f"BENCH_sta.json bad type for {key}"
-assert sta["benchmark"] == "sta_analysis"
-assert sta["designs"], "BENCH_sta.json has no designs"
-assert sta["all_closed"], "a builtin failed to close timing"
-assert abs(sta["worst_slack"]) < 1e-6, "nonzero slack at estimated clock"
-for d in sta["designs"]:
-    for key in ("name", "states", "reachable_states", "endpoints",
-                "clock_ns", "cycle_time", "estimated_cycle_time",
-                "worst_slack", "critical_state", "critical_path_points",
-                "structural_cycle_time", "false_path_endpoints",
-                "analysis_seconds"):
-        assert key in d, f"BENCH_sta.json design missing {key}"
-    assert abs(d["cycle_time"] - d["estimated_cycle_time"]) < 1e-6, \
-        f"{d['name']}: STA diverged from the estimator"
-    assert d["structural_cycle_time"] >= d["cycle_time"] - 1e-9
-    assert d["critical_path_points"] >= 2, \
-        f"{d['name']}: critical path has no route"
-
-print("sta bench smoke: schema ok, all builtins close timing")
-EOF
 
 # --- Observability smoke: `mphls profile` must emit a well-formed Chrome
 # trace (balanced B/E nesting on every track, monotone timestamps), a
@@ -538,7 +434,10 @@ assert bench["latency"]["p50_ms"] <= bench["latency"]["p99_ms"] + 1e-9
 assert bench["clients"] >= 4, "serve smoke must run >= 4 clients"
 for key in ("transport", "http", "invalid_json"):
     assert bench["errors"][key] == 0, f"loadgen saw {key} errors"
-assert bench["cache"]["hit_rate"] > 0, "frontend cache never hit"
+# The first recorded run of this mix hit the frontend cache on 55 of its
+# 60 requests (0.917); the floor is half of that, less 0.05.
+assert bench["cache"]["hit_rate"] >= 0.408, \
+    f"frontend cache hit rate {bench['cache']['hit_rate']} < 0.408"
 assert bench["endpoints"], "no per-endpoint latency recorded"
 total = sum(e["count"] for e in bench["endpoints"].values())
 assert total == bench["requests"], "request accounting mismatch"
@@ -627,11 +526,5 @@ for r in access:
 assert any(r["endpoint"] == "/synth" for r in access)
 print(f"access log: {len(access)} request records, all well-formed")
 EOF
-
-# --- Bench regression gate: every smoke report is compared against the
-# committed baselines with tolerance bands (see src/core/bench_check.cpp
-# for the rules; loose on wall time, exact on invariants).
-./build/src/cli/mphls bench --check --in "$BENCH_OUT" --in "$SERVE_OUT" \
-  --out build/BENCH_check.json
 
 echo "ci: all checks passed"

@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cerrno>
-#include <climits>
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
@@ -208,34 +207,6 @@ std::vector<Flag> DesignArgs::flags() {
   return f;
 }
 
-std::vector<Flag> BenchArgs::flags() {
-  return {
-      sw("--sim", simSuite),
-      sw("--sta", staSuite),
-      sw("--check", checkMode),
-      text("--baseline-dir", "DIR", check.baselineDir),
-      {"--in", "DIR",
-       [this](std::string_view v) {
-         check.inDirs.emplace_back(v);
-         return true;
-       }},
-      number("--jobs", "N", bench.jobs, 1),
-      number("--points", "N", bench.points, 1),
-      {"--repeats", "N",
-       [this](std::string_view v) {
-         repeatsGiven = true;
-         return options::parseNumber(v, 1, INT_MAX, bench.repeats);
-       }},
-      number("--sched-ops", "N", bench.schedOps, 4),
-      text("--out", "DIR", bench.outDir),
-      text("--trace", "FILE", traceOut),
-      text("--stats", "FILE", statsOut),
-      text("--log-file", "FILE", logFile),
-      logLevelFlag(logLevel),
-      sw("--quiet", bench.quiet),
-  };
-}
-
 std::vector<Flag> FuzzArgs::flags() {
   fuzz::CampaignOptions& c = campaign;
   return {
@@ -334,7 +305,6 @@ std::string usage() {
   for (const Flag& f : d.flags())
     if (f.name != "--flight") words.push_back(spell(f, false));
   wrap(out, "  options: ", 4, words, "  ");
-  toolUsage<BenchArgs>(out, "bench");
   toolUsage<FuzzArgs>(out, "fuzz");
   toolUsage<ServeArgs>(out, "serve");
   toolUsage<LoadgenArgs>(out, "loadgen");

@@ -14,8 +14,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/bench_check.h"
-#include "core/bench_runner.h"
 #include "core/synthesizer.h"
 #include "fuzz/campaign.h"
 #include "serve/loadgen.h"
@@ -68,19 +66,6 @@ struct DesignArgs {
   bool builtins = false;
   bool optExplicit = false;  ///< --opt given: analyze post-pipeline IR
   SynthesisOptions opts;
-
-  std::vector<Flag> flags();
-};
-
-/// `mphls bench`: the throughput suites and the --check regression gate.
-struct BenchArgs {
-  BenchOptions bench{.jobs = 0};  // hardware concurrency unless --jobs
-  BenchCheckOptions check{.inDirs = {}};
-  bool checkMode = false;  ///< --check
-  bool simSuite = false;
-  bool staSuite = false;
-  bool repeatsGiven = false;
-  std::string traceOut, statsOut, logFile, logLevel;
 
   std::vector<Flag> flags();
 };

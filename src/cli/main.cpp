@@ -43,16 +43,12 @@
 // the analysis runs on the post-pipeline IR instead of the frontend
 // output — the facts the width-narrowing pass actually consumes.
 //
-// The `bench` subcommand runs the synthesis-throughput suite on built-in
-// designs and writes BENCH_dse.json / BENCH_sched.json (see
-// core/bench_runner.h); it needs no input file.
-//
 // The `profile` subcommand synthesizes the design, simulates it under the
 // waveform/coverage recorder, and prints a stage/pass time + counter +
 // FSM-coverage table. `--trace FILE` (Chrome trace_event JSON for
 // Perfetto), `--vcd FILE` (GTKWave waveform) and `--stats FILE` (metrics
-// registry JSON) work on the synth, profile, bench and fuzz paths; see
-// DESIGN.md §10.
+// registry JSON) work on the synth, profile and fuzz paths; see DESIGN.md
+// §10.
 //
 // The `fuzz` subcommand runs the differential co-simulation fuzzer
 // (src/fuzz/): deterministic random BDL programs are synthesized across a
@@ -89,7 +85,6 @@
 #include "core/designs.h"
 #include "core/dse.h"
 #include "fuzz/diff_runner.h"
-#include "fuzz/sim_bench.h"
 #include "ir/dot.h"
 #include "lang/frontend.h"
 #include "obs/flight_recorder.h"
@@ -659,39 +654,6 @@ int runDesign(int argc, char** argv) {
   return kRun[(int)a.cmd](a, req);
 }
 
-/// `mphls bench`: the throughput suites, or the --check regression gate.
-int runBench(int argc, char** argv) {
-  auto parsed = cli::parseTool<cli::BenchArgs>(argc, argv);
-  if (!parsed) return 2;
-  cli::BenchArgs& a = *parsed;
-  BenchOptions& b = a.bench;
-  if (!applyLogging(a.logFile, a.logLevel)) return 1;
-  if (a.checkMode) {
-    BenchCheckOptions& cc = a.check;
-    if (cc.inDirs.empty()) cc.inDirs.push_back(".");
-    if (b.outDir != "." && !b.outDir.empty()) cc.outFile = b.outDir;
-    cc.quiet = b.quiet;
-    return runBenchCheck(cc);
-  }
-  enableTracing(a.traceOut);
-  int rc;
-  if (a.simSuite) {
-    fuzz::SimBenchOptions sb;
-    sb.repeats = a.repeatsGiven ? b.repeats : 5;  // sim suite: best-of-5
-    sb.outDir = b.outDir;
-    sb.quiet = b.quiet;
-    rc = fuzz::runSimBenchSuite(sb);
-  } else if (a.staSuite) {
-    if (!a.repeatsGiven) b.repeats = 5;  // analysis is fast: best-of-5
-    rc = runStaBenchSuite(b);
-  } else {
-    rc = runBenchSuite(b);
-  }
-  if (writeObsOutputs(a.traceOut, a.statsOut, b.quiet) != 0 && rc == 0)
-    rc = 1;
-  return rc;
-}
-
 /// `mphls fuzz`: differential co-simulation campaigns and corpus replay.
 int runFuzz(int argc, char** argv) {
   auto parsed = cli::parseTool<cli::FuzzArgs>(argc, argv);
@@ -842,8 +804,7 @@ int main(int argc, char** argv) {
   static constexpr struct {
     std::string_view name;
     int (*run)(int, char**);
-  } kTools[] = {{"bench", runBench},
-                {"fuzz", runFuzz},
+  } kTools[] = {{"fuzz", runFuzz},
                 {"serve", runServe},
                 {"loadgen", runLoadgen}};
   if (argc > 1)

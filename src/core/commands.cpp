@@ -7,6 +7,7 @@
 #include "check/check.h"
 #include "common/diag.h"
 #include "core/frontend_cache.h"
+#include "lang/frontend.h"
 #include "opt/pass.h"
 #include "rtl/verilog.h"
 #include "sec/passes.h"
@@ -33,12 +34,16 @@ Result errorResult(const std::string& name, const Failure& f) {
 /// Compile through the shared frontend cache and clone for backend use.
 /// Applies the width-narrowing pass when the option vector asks for it —
 /// exactly what Synthesizer::synthesize does after its pipeline stage.
-/// On a parse/verify failure, fills `f` and returns nullopt.
+/// On a compile or verify failure, fills `f` (an input error) and returns
+/// nullopt.
 std::optional<Function> compileCached(const Request& req, OptLevel opt,
                                       bool narrow, Failure& f) {
   std::shared_ptr<const Function> cached;
   try {
     cached = FrontendCache::global().get(req.source, req.top, opt);
+  } catch (const CompileError& e) {
+    f = {e.what(), true};
+    return std::nullopt;
   } catch (const InternalError& e) {
     f = {e.what(), true};
     return std::nullopt;

@@ -49,8 +49,6 @@ DsePoint synthesizePoint(const Function& fn, const SynthesisOptions& opts,
       p.verilog = emitVerilog(r.design);
   }
   p.threadId = worker < 0 ? 0 : worker;
-  p.traceTid = obs::Tracer::global().currentTid();
-  p.threadName = obs::Tracer::global().currentThreadName();
   auto& mr = obs::MetricsRegistry::global();
   mr.counter("dse.points").add();
   mr.histogram("dse.point_seconds").observe(p.wallSeconds);

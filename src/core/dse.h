@@ -49,8 +49,6 @@ struct DsePoint {
   // "dse.point" TraceSpan that emits the point into --trace output.
   double wallSeconds = 0;  ///< backend synthesis wall time for this point
   int threadId = 0;        ///< pool worker index (0 on the serial path)
-  int traceTid = 0;        ///< obs::Tracer track id of the executing thread
-  std::string threadName;  ///< tracer track name, e.g. "dse-2"
 
   /// Emitted Verilog for the point's design; filled only when
   /// SynthesisOptions::dseCaptureVerilog is set and the latency model is

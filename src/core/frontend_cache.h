@@ -27,8 +27,8 @@ class FrontendCache {
   /// Compile `source` (selecting procedure `top`), verify it, run the
   /// `opt` pass pipeline over it, and cache the result. Subsequent calls
   /// with the same key return the cached function without touching the
-  /// frontend. Throws InternalError on invalid input, like
-  /// compileBdlOrThrow.
+  /// frontend. Throws CompileError on a source that does not compile, like
+  /// compileBdlOrThrow, and InternalError when the result fails to verify.
   [[nodiscard]] std::shared_ptr<const Function> get(const std::string& source,
                                                     const std::string& top,
                                                     OptLevel opt);

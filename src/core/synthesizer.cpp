@@ -82,7 +82,7 @@ SynthesisResult Synthesizer::backend(Function fn, StageTimes st) {
   // Each stage runs inside a TraceSpan that both emits the trace event
   // (when tracing is on) and accumulates the corresponding StageTimes
   // field — one pair of clock reads is the single source of truth for
-  // bench JSON and --trace output. Each stage exit runs its src/check/
+  // StageTimes and --trace output. Each stage exit runs its src/check/
   // analyzers into one report and throws CheckFailure on an error; those
   // analyzers are the only gate on the stage contracts.
   CheckReport checks;

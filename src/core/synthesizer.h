@@ -85,13 +85,13 @@ struct SynthesisOptions {
   /// Design-space exploration only: record the emitted Verilog of every
   /// swept design point in DsePoint::verilog (unit-latency models only —
   /// the emitter rejects multicycle designs). Used by the determinism
-  /// tests and `mphls bench` to prove thread-count independence.
+  /// tests and perfbench's DSE workload to prove thread-count independence.
   bool dseCaptureVerilog = false;
 };
 
 /// Wall-clock seconds spent in each pipeline stage of one synthesis run,
 /// recorded unconditionally (the clock costs nanoseconds per stage) so
-/// the bench reports can break down where synthesis time goes.
+/// `mphls profile` can break down where synthesis time goes.
 struct StageTimes {
   double optimize = 0;   ///< high-level transformation passes
   double schedule = 0;   ///< control-step assignment
@@ -142,8 +142,9 @@ class Synthesizer {
   explicit Synthesizer(SynthesisOptions options = {})
       : options_(std::move(options)) {}
 
-  /// Full pipeline from BDL source. Throws InternalError on invalid input
-  /// (use compileBdl directly for diagnostics-friendly handling).
+  /// Full pipeline from BDL source. Throws CompileError on a source that
+  /// does not compile (use compileBdl directly for diagnostics-friendly
+  /// handling).
   [[nodiscard]] SynthesisResult synthesizeSource(const std::string& source,
                                                  const std::string& top = "");
 

@@ -28,7 +28,7 @@ std::optional<Function> compileBdl(const std::string& source,
 Function compileBdlOrThrow(const std::string& source, const std::string& top) {
   DiagEngine diags;
   auto fn = compileBdl(source, diags, top);
-  MPHLS_CHECK(fn.has_value(), "BDL compilation failed:\n" << diags.summary());
+  if (!fn) throw CompileError("BDL compilation failed:\n" + diags.summary());
   return std::move(*fn);
 }
 

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "common/diag.h"
@@ -16,8 +17,14 @@ namespace mphls {
                                                  DiagEngine& diags,
                                                  const std::string& top = "");
 
-/// Convenience for tests and examples: compile or throw InternalError with
-/// the diagnostic summary.
+/// A source that does not compile: a user error, not a broken invariant.
+/// what() is "BDL compilation failed:\n" plus the diagnostic summary.
+class CompileError : public std::runtime_error {
+ public:
+  explicit CompileError(const std::string& what) : std::runtime_error(what) {}
+};
+
+/// Compile or throw CompileError.
 [[nodiscard]] Function compileBdlOrThrow(const std::string& source,
                                          const std::string& top = "");
 

@@ -3,7 +3,7 @@
 // Pipeline stages publish here (pass change counts, stage seconds, cache
 // hit/miss, DSE point timings, fuzz campaign progress, simulation
 // coverage); the CLI exports a snapshot as JSON via --stats and `mphls
-// profile`, and `mphls bench` embeds the same snapshot in its report so
+// profile`, and `mphls serve` answers /metrics from the same registry, so
 // there is one source of numeric truth.
 //
 // Handles returned by counter()/gauge()/histogram() are stable for the

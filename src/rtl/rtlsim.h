@@ -27,8 +27,8 @@ struct RtlExecResult {
 
 /// Post-edge snapshot of one executed cycle, handed to a SimObserver
 /// after registers and output ports have committed their cycle results.
-/// `state` is the FSM state index (RtlSimulator) or microcode address
-/// (MicrocodeSimulator) that drove the cycle; `nextState` is where the
+/// `state` is the FSM state index (or, for a microcode-driven simulator,
+/// the microprogram address) that drove the cycle; `nextState` is where the
 /// sequencer goes on the clock edge. The pointed-to vectors are owned by
 /// the simulator and valid only for the duration of the callback.
 struct SimCycle {

@@ -15,8 +15,9 @@
 // The final VCD values therefore equal the simulator's end state.
 //
 // State numbering follows the FSM controller (CtrlState indices), so the
-// recorder pairs with RtlSimulator; MicrocodeSimulator reports microcode
-// addresses through the same observer type but needs no coverage model.
+// recorder pairs with RtlSimulator and the VM; the microcode simulator
+// that the tests keep as an oracle reports microprogram addresses through
+// the same observer type but needs no coverage model.
 #pragma once
 
 #include <cstdint>

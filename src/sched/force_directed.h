@@ -32,6 +32,17 @@ struct DistributionGraph {
   }
 };
 
+/// ASAP/ALAP time frames of every op under a `horizon`-step constraint:
+/// op i may start in [lo[i], hi[i]].
+struct Frames {
+  std::vector<int> lo, hi;
+};
+
+/// The frames honoring already-fixed ops (`fixed`: step per op, -1 when
+/// unfixed; empty means none fixed). Every frame is kept non-empty.
+[[nodiscard]] Frames computeFrames(const BlockDeps& deps, int horizon,
+                                   const std::vector<int>& fixed);
+
 /// Build the distribution graphs for every FU class present in the block,
 /// under a time constraint of `horizon` steps (>= critical length). Frames
 /// may be narrowed by `fixed` (step per op, -1 when unfixed).
@@ -48,17 +59,12 @@ struct DistributionGraph {
 /// distribution graphs are cached across the fix iterations and updated by
 /// delta propagation when an operation is fixed — candidate evaluation
 /// re-derives only the frames a trial placement actually narrows, instead
-/// of rebuilding every frame per candidate. The result is identical to
-/// forceDirectedScheduleReference on every input (the propagation computes
+/// of rebuilding every frame per candidate. The result is identical to the
+/// from-scratch HAL formulation on every input (the propagation computes
 /// the same integer fixpoint and force terms accumulate in the same
-/// order); only the wall time differs.
+/// order); only the wall time differs. That formulation is kept with the
+/// tests as their oracle (tests/oracles/force_directed_reference.h).
 [[nodiscard]] BlockSchedule forceDirectedSchedule(const BlockDeps& deps,
                                                   int horizon);
-
-/// The from-scratch HAL formulation: rebuilds every time frame and
-/// distribution graph on each candidate evaluation. Kept as the oracle the
-/// incremental scheduler is tested and benchmarked against.
-[[nodiscard]] BlockSchedule forceDirectedScheduleReference(
-    const BlockDeps& deps, int horizon);
 
 }  // namespace mphls

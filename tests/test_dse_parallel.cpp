@@ -10,6 +10,7 @@
 #include <atomic>
 #include <numeric>
 #include <set>
+#include <utility>
 
 #include "common/thread_pool.h"
 #include "core/designs.h"
@@ -17,6 +18,8 @@
 #include "core/frontend_cache.h"
 #include "ir/analysis.h"
 #include "ir/verify.h"
+#include "oracles/force_directed_reference.h"
+#include "oracles/synthetic_dfg.h"
 #include "sched/force_directed.h"
 #include "sched/schedule.h"
 
@@ -361,6 +364,20 @@ TEST(DseParallelForceDirected, MatchesReferenceOnRandomDfgs) {
       ASSERT_EQ(inc.step, ref.step)
           << "seed " << seed << " horizon " << horizon;
     }
+  }
+}
+
+// The heavy-overlap synthetic DFGs the speed tests time: 16 ops at slack
+// 2 and 48 ops at slack 3.
+TEST(DseParallelForceDirected, MatchesReferenceOnSyntheticDfgs) {
+  for (const auto& [ops, slack] : {std::pair{16, 2}, std::pair{48, 3}}) {
+    Function fn = syntheticDfg(ops);
+    BlockDeps deps(fn, fn.block(fn.entry()));
+    const int horizon = computeLevels(deps).criticalLength + slack;
+    BlockSchedule inc = forceDirectedSchedule(deps, horizon);
+    BlockSchedule ref = forceDirectedScheduleReference(deps, horizon);
+    EXPECT_EQ(inc.step, ref.step) << ops << " ops, horizon " << horizon;
+    EXPECT_EQ(inc.numSteps, ref.numSteps) << ops << " ops";
   }
 }
 

@@ -2,8 +2,8 @@
 // filtering, token-bucket rate limiting, flight-recorder rings (record,
 // wraparound, signal-safe dump, in-process SIGQUIT crash capture), the
 // Prometheus text exposition with its histogram invariants, the
-// /debug/flight and /metrics?format= service routes, the per-request
-// access log, and the bench --check regression gate.
+// /debug/flight and /metrics?format= service routes, and the per-request
+// access log.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "common/json_reader.h"
-#include "core/bench_check.h"
 #include "obs/flight_recorder.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -481,100 +480,6 @@ TEST(ServeObs, AccessLogRecordsRequest) {
   EXPECT_EQ(access->getNumber("session"), 42);
   EXPECT_GE(access->getNumber("ms"), 0.0);
   EXPECT_TRUE(access->get("cache_hit") != nullptr);
-}
-
-// ------------------------------------------------------- bench --check
-
-void writeFile(const fs::path& p, const std::string& body) {
-  std::ofstream out(p);
-  out << body;
-}
-
-TEST(BenchCheck, PassesAgainstMatchingBaseline) {
-  TempDir tmp("benchok");
-  const fs::path in = tmp.path / "in";
-  const fs::path base = tmp.path / "base";
-  fs::create_directories(in);
-  fs::create_directories(base);
-  const std::string sta =
-      "{\"all_closed\": true, \"worst_slack\": 1.25,"
-      " \"wall_seconds\": 0.5}";
-  writeFile(in / "BENCH_sta.json", sta);
-  writeFile(base / "BENCH_sta.json", sta);
-
-  BenchCheckOptions opts;
-  opts.inDirs = {in.string()};
-  opts.baselineDir = base.string();
-  opts.outFile = (tmp.path / "verdict.json").string();
-  opts.quiet = true;
-  EXPECT_EQ(runBenchCheck(opts), 0);
-
-  std::ifstream vf(opts.outFile);
-  std::ostringstream ss;
-  ss << vf.rdbuf();
-  auto verdict = json::parse(ss.str());
-  ASSERT_TRUE(verdict);
-  EXPECT_TRUE(verdict->getBool("ok"));
-  EXPECT_EQ(verdict->getNumber("compared_files"), 1);
-  EXPECT_EQ(verdict->getNumber("failed"), 0);
-}
-
-TEST(BenchCheck, FlagsRegression) {
-  TempDir tmp("benchbad");
-  const fs::path in = tmp.path / "in";
-  const fs::path base = tmp.path / "base";
-  fs::create_directories(in);
-  fs::create_directories(base);
-  // Wall time regressed 10x: outside the 2.5x + 1s band.
-  writeFile(in / "BENCH_sta.json",
-            "{\"all_closed\": true, \"worst_slack\": 1.25,"
-            " \"wall_seconds\": 20.0}");
-  writeFile(base / "BENCH_sta.json",
-            "{\"all_closed\": true, \"worst_slack\": 1.25,"
-            " \"wall_seconds\": 2.0}");
-
-  BenchCheckOptions opts;
-  opts.inDirs = {in.string()};
-  opts.baselineDir = base.string();
-  opts.outFile = (tmp.path / "verdict.json").string();
-  opts.quiet = true;
-  EXPECT_EQ(runBenchCheck(opts), 1);
-
-  std::ifstream vf(opts.outFile);
-  std::ostringstream ss;
-  ss << vf.rdbuf();
-  auto verdict = json::parse(ss.str());
-  ASSERT_TRUE(verdict);
-  EXPECT_FALSE(verdict->getBool("ok"));
-  EXPECT_GE(verdict->getNumber("failed"), 1);
-}
-
-TEST(BenchCheck, MissingBaselineSkipsNotFails) {
-  TempDir tmp("benchskip");
-  const fs::path in = tmp.path / "in";
-  fs::create_directories(in);
-  writeFile(in / "BENCH_sta.json",
-            "{\"all_closed\": true, \"worst_slack\": 1.25,"
-            " \"wall_seconds\": 0.5}");
-
-  BenchCheckOptions opts;
-  opts.inDirs = {in.string()};
-  opts.baselineDir = (tmp.path / "nonexistent").string();
-  opts.outFile.clear();
-  opts.quiet = true;
-  // Invariant checks (all_closed) still run and pass; baseline-relative
-  // ones are skipped, which must not fail the gate.
-  EXPECT_EQ(runBenchCheck(opts), 0);
-}
-
-TEST(BenchCheck, NoReportsIsAnError) {
-  TempDir tmp("benchempty");
-  BenchCheckOptions opts;
-  opts.inDirs = {tmp.path.string()};
-  opts.baselineDir = (tmp.path / "none").string();
-  opts.outFile.clear();
-  opts.quiet = true;
-  EXPECT_EQ(runBenchCheck(opts), 1);
 }
 
 }  // namespace

@@ -19,7 +19,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/vcd.h"
-#include "rtl/microsim.h"
+#include "oracles/microsim.h"
 #include "rtl/rtlsim.h"
 #include "rtl/sim_trace.h"
 
@@ -485,7 +485,7 @@ TEST(SimTrace, StageSpansAndStageTimesAgreeExactly) {
   }
 
   // The span *is* the timer: both numbers come from the same clock reads,
-  // so the bench JSON and the trace can never disagree on a stage.
+  // so StageTimes and the trace can never disagree on a stage.
   const StageTimes& st = r.stages;
   EXPECT_DOUBLE_EQ(spanSeconds["stage.optimize"], st.optimize);
   EXPECT_DOUBLE_EQ(spanSeconds["stage.schedule"], st.schedule);

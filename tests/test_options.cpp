@@ -240,8 +240,6 @@ TEST(CliArgs, JunkNumbersAreRejected) {
   EXPECT_FALSE(cli::parseTool<cli::FuzzArgs>(rate.argc(), rate.argv()));
   Argv seed({"mphls", "fuzz", "--seed-base", "-1"});
   EXPECT_FALSE(cli::parseTool<cli::FuzzArgs>(seed.argc(), seed.argv()));
-  Argv ops({"mphls", "bench", "--sched-ops", "3"});
-  EXPECT_FALSE(cli::parseTool<cli::BenchArgs>(ops.argc(), ops.argv()));
   Argv clients({"mphls", "loadgen", "--clients", "2e3"});
   EXPECT_FALSE(
       cli::parseTool<cli::LoadgenArgs>(clients.argc(), clients.argv()));

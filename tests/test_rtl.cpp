@@ -5,7 +5,7 @@
 
 #include "core/designs.h"
 #include "core/synthesizer.h"
-#include "rtl/microsim.h"
+#include "oracles/microsim.h"
 #include "rtl/rtlsim.h"
 #include "rtl/source_eval.h"
 #include "rtl/verilog.h"

@@ -446,6 +446,26 @@ TEST(ServeService, CompileErrorsAre422) {
   EXPECT_TRUE(doc->has("error"));
 }
 
+// A syntax error is the user's: its report carries the diagnostics, not
+// the internal-error prefix and the path of the source file that threw.
+TEST(ServeService, CompileErrorsCarryOnlyTheDiagnostics) {
+  const std::string bad = "proc p { not bdl }";
+  const cmd::Result lint = cmd::lintJson({"bad.bdl", bad, "", {}});
+  EXPECT_TRUE(lint.inputError);
+  const serve::Service svc = makeService();
+  const serve::ServiceResponse synth = svc.handle(
+      makePost("/synth", "{\"source\": \"proc p { not bdl }\"}"), 1);
+  EXPECT_EQ(synth.status, 422);
+  for (const std::string& body : {lint.body, synth.body}) {
+    const auto doc = json::parse(body);
+    ASSERT_NE(doc, nullptr) << body;
+    const std::string error = doc->getString("error");
+    EXPECT_EQ(error.rfind("BDL compilation failed:\n", 0), 0u) << error;
+    EXPECT_EQ(body.find("internal error"), std::string::npos) << body;
+    EXPECT_EQ(body.find("/src/"), std::string::npos) << body;
+  }
+}
+
 TEST(ServeService, HealthzAndMetricsRespond) {
   const serve::Service svc = makeService();
   HttpRequest get;

@@ -89,6 +89,9 @@ TEST(Sta, BuiltinsAgreeWithEstimator) {
     EXPECT_EQ(s.reachableStates, s.totalStates) << d.name;
     // Structural analysis can only be more pessimistic.
     EXPECT_GE(s.structuralCycleTime, s.cycleTime - 1e-9) << d.name;
+    // The critical path is a route: at least a launch and a capture point.
+    ASSERT_FALSE(s.paths.empty()) << d.name;
+    EXPECT_GE(s.paths.front().points.size(), 2u) << d.name;
   }
 }
 
