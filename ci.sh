@@ -4,8 +4,9 @@
 # reports under a file name holding byte 0xFF, the semantic-lint gate over
 # every built-in design, a static-timing gate (path-level STA over every
 # built-in, cross-validated against the estimator, plus a must-fail
-# tight-clock run), a fixed-seed differential fuzz campaign (plus an
-# injected-miscompile round trip), the formal equivalence gate (`mphls
+# tight-clock run), a sweep gate (the `--narrow` and `--top` rows of
+# `--sweep` against `synth`), a fixed-seed differential fuzz campaign
+# (plus an injected-miscompile round trip), the formal equivalence gate (`mphls
 # prove` over every built-in at every opt level, plus must-fail runs for
 # each injected bug class), a bytecode-VM oracle gate (200 seeds co-
 # simulated on both the VM and the interpreters, zero divergences
@@ -95,6 +96,34 @@ if [ "$VERIFY_RC" -ne 1 ] ||
   echo "verify: missing input not reported (exit $VERIFY_RC): $VERIFY_OUT" >&2
   exit 1
 fi
+
+# --- Sweep gate: a `--sweep` point starts from the same IR as a single
+# synthesis with the same flags, so the 1-FU row must be that design: with
+# `--narrow` (the narrowed IR) and with `--top` (the first procedure of a
+# two-procedure file, not the default last one).
+python3 - ./build/src/cli/mphls << 'EOF'
+import json, subprocess, sys
+
+mphls = sys.argv[1]
+
+def run(*args):
+    return subprocess.run([mphls, *args], capture_output=True, text=True,
+                          check=True).stdout
+
+for flags, bdl in ((["--narrow"], "examples/sqrt.bdl"),
+                   (["--top", "a"], "tests/fixtures/two_procs.bdl")):
+    rows = [l.split() for l in
+            run("--quiet", *flags, "--sweep", "1", bdl).splitlines()]
+    row = next(r for r in rows if r and r[0] == "1")
+    synth = json.loads(run("synth", "--format", "json", *flags, "--fus", "1",
+                           bdl))
+    what = " ".join(flags + [bdl])
+    assert int(row[1]) == synth["static_latency"], \
+        f"{what}: sweep latency {row[1]} != synth {synth['static_latency']}"
+    assert abs(float(row[3]) - synth["area"]) <= 0.1, \
+        f"{what}: sweep area {row[3]} != synth {synth['area']}"
+print("sweep gate: --narrow and --top rows match synth")
+EOF
 
 # --- Differential fuzz smoke: a fixed-seed campaign over the standard
 # scheduler/allocator/encoding matrix must co-simulate clean (any failure

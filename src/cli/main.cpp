@@ -78,9 +78,9 @@
 #include "analysis/dataflow.h"
 #include "check/check.h"
 #include "cli/args.h"
-#include "common/bench_report.h"
 #include "common/json_reader.h"
 #include "common/thread_pool.h"
+#include "common/wall_timer.h"
 #include "core/commands.h"
 #include "core/designs.h"
 #include "core/dse.h"
@@ -411,9 +411,9 @@ int runAnalyze(const DesignArgs& a, const cmd::Request& req) {
   // and re-derived facts it left behind.
   const bool post = a.optExplicit && a.opts.opt != OptLevel::None;
   if (a.jsonFormat) return printResult(a, cmd::analyzeJson(req, post));
-  const cmd::Outcome<Function> o = cmd::analyzedFunction(req, post);
+  const auto o = cmd::analyzedFunction(req, post);
   if (!o.value) return fail(req.name + ": " + o.failure.error);
-  const Function& fn = *o.value;
+  const Function& fn = **o.value;
   const AnalysisResult res = analyzeFunction(fn);
   if (!a.quiet) {
     std::cout << "analysis of '" << fn.name() << "' (" << res.iterations
@@ -616,7 +616,7 @@ int runSynth(const DesignArgs& a, const cmd::Request& req) {
   }
 
   if (a.sweep > 0) {
-    auto points = exploreResourceSweep(req.source, a.sweep, a.opts);
+    auto points = exploreResourceSweep(req.source, a.sweep, a.opts, req.top);
     std::cout << "sweep (list scheduling, 1.." << a.sweep << " FUs):\n";
     std::printf("  %-8s %8s %12s %12s %8s\n", "FUs", "latency", "cycle",
                 "area", "pareto");

@@ -31,35 +31,21 @@ Result errorResult(const std::string& name, const Failure& f) {
   return {lineBody(j), false, f.inputError};
 }
 
-/// Compile through the shared frontend cache and clone for backend use.
-/// Applies the width-narrowing pass when the option vector asks for it —
-/// exactly what Synthesizer::synthesize does after its pipeline stage.
-/// On a compile or verify failure, fills `f` (an input error) and returns
-/// nullopt.
-std::optional<Function> compileCached(const Request& req, OptLevel opt,
-                                      bool narrow, Failure& f) {
-  std::shared_ptr<const Function> cached;
+/// The IR the request's design point starts from, out of the shared
+/// frontend cache at (opt, narrow). A rejected source fills `f` as an
+/// input error; a pass that breaks the IR is an internal error, reported
+/// like a failed synthesis. Either way it returns null.
+std::shared_ptr<const Function> compileCached(const Request& req,
+                                              OptLevel opt, bool narrow,
+                                              Failure& f) {
   try {
-    cached = FrontendCache::global().get(req.source, req.top, opt);
+    return FrontendCache::global().get(req.source, req.top, opt, narrow);
   } catch (const CompileError& e) {
     f = {e.what(), true};
-    return std::nullopt;
   } catch (const InternalError& e) {
-    f = {e.what(), true};
-    return std::nullopt;
+    f = {e.what(), false};
   }
-  Function fn = cached->clone();
-  if (narrow) PassManager::narrowing().run(fn);
-  return fn;
-}
-
-/// req.opts for the backend alone: the cache has applied its pipeline and
-/// narrowing.
-Synthesizer backendFor(const Request& req) {
-  SynthesisOptions so = req.opts;
-  so.opt = OptLevel::None;
-  so.narrow = false;
-  return Synthesizer(so);
+  return nullptr;
 }
 
 /// Compile through the cache and run the backend. A synthesis failure's
@@ -67,10 +53,10 @@ Synthesizer backendFor(const Request& req) {
 std::optional<SynthesisResult> synthesized(const Request& req,
                                            const std::string& prefix,
                                            Failure& f) {
-  auto fn = compileCached(req, req.opts.opt, req.opts.narrow, f);
+  const auto fn = compileCached(req, req.opts.opt, req.opts.narrow, f);
   if (!fn) return std::nullopt;
   try {
-    return backendFor(req).synthesizeOptimized(*fn);
+    return Synthesizer(req.opts).synthesizeOptimized(*fn);
   } catch (const InternalError& e) {
     f = {prefix + e.what(), false};
     return std::nullopt;
@@ -128,7 +114,7 @@ Outcome<CheckReport> lintReport(const Request& req) {
   CheckReport rep;
   checkSemantics(*fn, rep);
   try {
-    const SynthesisResult r = backendFor(req).synthesizeOptimized(*fn);
+    const SynthesisResult r = Synthesizer(req.opts).synthesizeOptimized(*fn);
     rep.merge(r.checks);
     if (req.opts.latencies.isUnit()) lintVerilog(emitVerilog(r.design), rep);
   } catch (const CheckFailure& e) {
@@ -150,18 +136,21 @@ Result lintJson(const Request& req) {
           false};
 }
 
-Outcome<Function> analyzedFunction(const Request& req, bool postPipeline) {
-  Outcome<Function> out;
-  out.value = compileCached(req, postPipeline ? req.opts.opt : OptLevel::None,
-                            req.opts.narrow, out.failure);
+Outcome<std::shared_ptr<const Function>> analyzedFunction(
+    const Request& req, bool postPipeline) {
+  Outcome<std::shared_ptr<const Function>> out;
+  if (auto fn =
+          compileCached(req, postPipeline ? req.opts.opt : OptLevel::None,
+                        req.opts.narrow, out.failure))
+    out.value = std::move(fn);
   return out;
 }
 
 Result analyzeJson(const Request& req, bool postPipeline) {
-  const Outcome<Function> o = analyzedFunction(req, postPipeline);
+  const auto o = analyzedFunction(req, postPipeline);
   if (!o.value) return errorResult(req.name, o.failure);
   CheckReport report;
-  checkSemantics(*o.value, report);
+  checkSemantics(**o.value, report);
   return {lineBody(reportJson("file", req.name, report)), report.clean(),
           false};
 }
@@ -205,37 +194,39 @@ Result staJson(const Request& req, double clockNs, int maxPaths) {
 Outcome<ProveReport> proveReport(const Request& req, bool provePasses,
                                  const ProveInjection& inject) {
   Outcome<ProveReport> out;
-  auto fn = compileCached(req, OptLevel::None, false, out.failure);
-  if (!fn) return out;
+  const auto raw = compileCached(req, OptLevel::None, false, out.failure);
+  if (!raw) return out;
   ProveReport pr;
   CheckReport& rep = pr.report;
-  auto runPipe = [&](PassManager pm) {
-    if (provePasses)
-      sec::runPipelineValidated(pm, *fn, rep);
-    else
-      pm.run(*fn);
-  };
-  if (auto pm = PassManager::forLevel(req.opts.opt)) runPipe(std::move(*pm));
-  if (req.opts.narrow) runPipe(PassManager::narrowing());
+  Function fn = raw->clone();
+  if (provePasses) {
+    // The pipeline pass by pass, each translation-validated.
+    if (auto pm = PassManager::forLevel(req.opts.opt))
+      sec::runPipelineValidated(*pm, fn, rep);
+    if (req.opts.narrow) {
+      PassManager pm = PassManager::narrowing();
+      sec::runPipelineValidated(pm, fn, rep);
+    }
+  } else {
+    optimize(fn, req.opts.opt, req.opts.narrow);
+  }
   auto inapplicable = [&] {
     pr.applicable = false;
-    rep.note("sec.inject.inapplicable", fn->name(), inject.none);
+    rep.note("sec.inject.inapplicable", fn.name(), inject.none);
   };
   if (inject.ir) {
-    Function mutated = fn->clone();
+    Function mutated = fn.clone();
     if (inject.ir(mutated) == 0)
       inapplicable();
     else
-      sec::proveFunctionEquivalence(*fn, mutated, inject.name, rep);
+      sec::proveFunctionEquivalence(fn, mutated, inject.name, rep);
     out.value = std::move(pr);
     return out;
   }
   SynthesisOptions so = req.opts;
   so.prove = false;  // the proof runs below, reporting instead of throwing
-  so.narrow = false;
-  so.opt = OptLevel::None;  // pipeline already applied above
   try {
-    SynthesisResult r = Synthesizer(so).synthesizeOptimized(*fn);
+    SynthesisResult r = Synthesizer(so).synthesizeOptimized(fn);
     if (inject.design && inject.design(r.design) == 0)
       inapplicable();
     else

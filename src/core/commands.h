@@ -8,7 +8,7 @@
 //
 // Every command compiles through the process-wide FrontendCache, so repeat
 // traffic (a daemon serving the same source many times, a DSE sweep, the
-// test battery) pays the frontend once per (source, top, opt) key.
+// test battery) pays the frontend once per (source, top, opt, narrow) key.
 //
 // Reports are deterministic by construction: they carry no wall-clock
 // times, no machine identity, and no iteration-order-dependent fields.
@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -73,11 +74,12 @@ struct Outcome {
 [[nodiscard]] Outcome<CheckReport> lintReport(const Request& req);
 [[nodiscard]] Result lintJson(const Request& req);
 
-/// The behavioral IR analyze reports on: the frontend output or, with
-/// `postPipeline`, the configured pass pipeline's; narrowed when
-/// opts.narrow asks (`mphls analyze --opt ... --narrow`).
-[[nodiscard]] Outcome<Function> analyzedFunction(const Request& req,
-                                                 bool postPipeline);
+/// The behavioral IR analyze reports on, out of the frontend cache: the
+/// frontend output or, with `postPipeline`, the configured pass
+/// pipeline's; narrowed when opts.narrow asks (`mphls analyze --opt ...
+/// --narrow`).
+[[nodiscard]] Outcome<std::shared_ptr<const Function>> analyzedFunction(
+    const Request& req, bool postPipeline);
 
 /// Semantic lint report (checkSemantics) over analyzedFunction.
 [[nodiscard]] Result analyzeJson(const Request& req, bool postPipeline);

@@ -14,6 +14,8 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "rtl/verilog.h"
+#include "sched/force_directed.h"
+#include "sched/sched_util.h"
 
 namespace mphls {
 
@@ -111,9 +113,10 @@ void markPareto(std::vector<DsePoint>& points) {
 
 std::vector<DsePoint> exploreResourceSweep(const std::string& source,
                                            int maxUniversalFus,
-                                           SynthesisOptions base) {
+                                           SynthesisOptions base,
+                                           const std::string& top) {
   if (maxUniversalFus < 1) return {};
-  auto fn = FrontendCache::global().get(source, "", base.opt);
+  auto fn = FrontendCache::global().get(source, top, base.opt, base.narrow);
   const std::size_t count = static_cast<std::size_t>(maxUniversalFus);
   std::vector<DsePoint> points(count);
   auto pool = makePool(base.jobs, count);
@@ -135,19 +138,19 @@ std::vector<DsePoint> exploreResourceSweep(const std::string& source,
 
 std::vector<DsePoint> exploreTimeSweep(const std::string& source,
                                        int extraSlack,
-                                       SynthesisOptions base) {
-  auto fn = FrontendCache::global().get(source, "", base.opt);
+                                       SynthesisOptions base,
+                                       const std::string& top) {
+  auto fn = FrontendCache::global().get(source, top, base.opt, base.narrow);
 
-  // Discover the longest block's critical length with an unconstrained
-  // force-directed run, then sweep uniform horizons upward from there
-  // (forceDirectedSchedule clamps per block to its own critical length).
-  SynthesisOptions probeOpts = base;
-  probeOpts.scheduler = SchedulerKind::ForceDirected;
-  probeOpts.timeConstraint = 0;
-  Synthesizer probe(probeOpts);
-  SynthesisResult r0 = probe.synthesizeOptimized(*fn);
+  // Sweep uniform horizons up from the longest block of an unconstrained
+  // force-directed schedule, which can exceed the critical length
+  // (forceDirectedSchedule clamps each block to its own length).
+  const Schedule probe = scheduleFunction(
+      *fn,
+      [](const BlockDeps& deps) { return forceDirectedSchedule(deps, 0); },
+      base.latencies);
   int maxBlockSteps = 0;
-  for (const auto& bs : r0.design.sched.blocks)
+  for (const auto& bs : probe.blocks)
     maxBlockSteps = std::max(maxBlockSteps, bs.numSteps);
 
   if (extraSlack < 0) extraSlack = 0;
@@ -170,8 +173,9 @@ std::vector<DsePoint> exploreTimeSweep(const std::string& source,
 
 std::vector<DsePoint> chippeIterate(const std::string& source,
                                     int targetLatency, int maxUniversalFus,
-                                    SynthesisOptions base) {
-  auto fn = FrontendCache::global().get(source, "", base.opt);
+                                    SynthesisOptions base,
+                                    const std::string& top) {
+  auto fn = FrontendCache::global().get(source, top, base.opt, base.narrow);
   auto pool = makePool(base.jobs, 2);
 
   auto synthAt = [&](int n) {

@@ -16,16 +16,16 @@
 //   - HAL-style time sweep: force-directed scheduling under successively
 //     relaxed time constraints, reading off the implied allocation.
 //
-// Throughput model: each entry point compiles and optimizes the source
-// exactly once (core/frontend_cache.h), hands every sweep point a clone of
-// the cached IR, and synthesizes the points concurrently on a work-stealing
-// pool sized by SynthesisOptions::jobs (common/thread_pool.h). The sweeps
-// are embarrassingly parallel; Chippe's feedback loop is inherently
-// sequential but speculatively pre-synthesizes limit+1 while the current
-// limit is being evaluated. Results are deterministic: points land in
-// index order and markPareto is input-order independent, so the returned
-// vector — and any Verilog captured per point — is identical at every
-// thread count.
+// Throughput model: each entry point fetches its IR once from FrontendCache
+// (core/frontend_cache.h) at (source, top, base.opt, base.narrow); `top` ""
+// is the file's last procedure. Every sweep point synthesizes a clone of
+// it, concurrently on a work-stealing pool sized by SynthesisOptions::jobs
+// (common/thread_pool.h). The sweeps are embarrassingly parallel; Chippe's
+// feedback loop is inherently sequential but speculatively pre-synthesizes
+// limit+1 while the current limit is being evaluated. Results are
+// deterministic: points land in index order and markPareto is input-order
+// independent, so the returned vector — and any Verilog captured per point
+// — is identical at every thread count.
 #pragma once
 
 #include <string>
@@ -81,13 +81,14 @@ void markPareto(std::vector<DsePoint>& points);
 /// Points are synthesized concurrently per `base.jobs`.
 [[nodiscard]] std::vector<DsePoint> exploreResourceSweep(
     const std::string& source, int maxUniversalFus,
-    SynthesisOptions base = {});
+    SynthesisOptions base = {}, const std::string& top = "");
 
-/// HAL-style: force-directed with time constraints from the critical
-/// length to critical + extraSlack steps (per block, applied uniformly).
-/// Points are synthesized concurrently per `base.jobs`.
+/// HAL-style: force-directed with time constraints from the longest block
+/// of an unconstrained force-directed schedule to that + extraSlack steps
+/// (per block, applied uniformly), concurrently per `base.jobs`.
 [[nodiscard]] std::vector<DsePoint> exploreTimeSweep(
-    const std::string& source, int extraSlack, SynthesisOptions base = {});
+    const std::string& source, int extraSlack, SynthesisOptions base = {},
+    const std::string& top = "");
 
 /// Chippe-style feedback: grow the FU budget until the latency target is
 /// met (or the budget cap is reached); returns the visited points, last
@@ -95,9 +96,8 @@ void markPareto(std::vector<DsePoint>& points);
 /// but with jobs > 1 the next budget is speculatively synthesized on the
 /// pool while the current one is evaluated (at most one point of wasted
 /// work when the loop stops).
-[[nodiscard]] std::vector<DsePoint> chippeIterate(const std::string& source,
-                                                  int targetLatency,
-                                                  int maxUniversalFus = 8,
-                                                  SynthesisOptions base = {});
+[[nodiscard]] std::vector<DsePoint> chippeIterate(
+    const std::string& source, int targetLatency, int maxUniversalFus = 8,
+    SynthesisOptions base = {}, const std::string& top = "");
 
 }  // namespace mphls

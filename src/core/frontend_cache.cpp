@@ -18,11 +18,12 @@ thread_local bool tlsSawHit = false;
 thread_local bool tlsSawMiss = false;
 
 std::string keyOf(const std::string& source, const std::string& top,
-                  OptLevel opt) {
+                  OptLevel opt, bool narrow) {
   // '\x1f' cannot appear in BDL identifiers, so the key is unambiguous.
   std::string key;
-  key.reserve(source.size() + top.size() + 4);
+  key.reserve(source.size() + top.size() + 5);
   key += static_cast<char>('0' + static_cast<int>(opt));
+  key += narrow ? 'n' : '-';
   key += '\x1f';
   key += top;
   key += '\x1f';
@@ -55,9 +56,10 @@ FrontendCache& FrontendCache::global() {
 
 std::shared_ptr<const Function> FrontendCache::get(const std::string& source,
                                                    const std::string& top,
-                                                   OptLevel opt) {
+                                                   OptLevel opt,
+                                                   bool narrow) {
   Impl& im = impl();
-  const std::string key = keyOf(source, top, opt);
+  const std::string key = keyOf(source, top, opt, narrow);
   {
     std::lock_guard<std::mutex> lk(im.m);
     auto it = im.index.find(key);
@@ -80,8 +82,12 @@ std::shared_ptr<const Function> FrontendCache::get(const std::string& source,
   // it is already cached.
   obs::TraceSpan span("frontend.compile", top);
   Function fn = compileBdlOrThrow(source, top);
-  verifyOrThrow(fn);
-  if (auto pm = PassManager::forLevel(opt)) pm->run(fn);
+  // Frontend IR that fails to verify is a rejected source too; only the
+  // passes raise internal errors.
+  if (const std::string bad = verifyFunction(fn); !bad.empty())
+    throw CompileError("IR verification failed for '" + fn.name() +
+                       "': " + bad);
+  optimize(fn, opt, narrow);
   auto shared = std::make_shared<const Function>(std::move(fn));
 
   std::lock_guard<std::mutex> lk(im.m);

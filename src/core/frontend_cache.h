@@ -1,11 +1,13 @@
-// Shared-frontend cache for design-space exploration.
+// The one frontend every design point starts from.
 //
-// Every DSE sweep point used to re-lex, re-parse, re-lower and re-optimize
-// the same BDL source before diverging in the backend; only scheduling and
-// everything after it actually depend on the swept options. The cache
-// memoizes (source, top, optimization level) -> optimized Function so a
+// Only scheduling and everything after it depend on the swept options, so
+// the IR a design point starts from is a function of (source, top,
+// optimization level, narrow) alone. The cache memoizes that key ->
+// compiled, verified, optimize()d Function, and every entry point that
+// synthesizes from source fetches its IR here: the DSE sweeps and Chippe
+// (core/dse.h), the fuzzer's matrix points (fuzz/diff_runner.h) and the
+// commands shared by the CLI and the serve daemon (core/commands.h). A
 // sweep pays the frontend once and each point starts from a clone()d IR.
-// Chippe-style feedback iteration hits the same entry on every lap.
 //
 // Thread-safety: get() may be called from any thread; the returned Function
 // is immutable (shared_ptr<const Function>) and safe to clone concurrently.
@@ -21,17 +23,19 @@ namespace mphls {
 
 class FrontendCache {
  public:
-  /// The process-wide cache used by the DSE entry points.
+  /// The process-wide cache every entry point fetches from.
   [[nodiscard]] static FrontendCache& global();
 
-  /// Compile `source` (selecting procedure `top`), verify it, run the
-  /// `opt` pass pipeline over it, and cache the result. Subsequent calls
-  /// with the same key return the cached function without touching the
-  /// frontend. Throws CompileError on a source that does not compile, like
-  /// compileBdlOrThrow, and InternalError when the result fails to verify.
+  /// Compile `source` (selecting procedure `top`), verify it, run
+  /// optimize(fn, opt, narrow) over it, and cache the result. Subsequent
+  /// calls with the same key return the cached function without touching
+  /// the frontend. Throws CompileError when the source is rejected: it
+  /// does not compile (compileBdlOrThrow's diagnostics) or the frontend's
+  /// IR fails to verify. A pass that breaks the IR throws InternalError.
   [[nodiscard]] std::shared_ptr<const Function> get(const std::string& source,
                                                     const std::string& top,
-                                                    OptLevel opt);
+                                                    OptLevel opt,
+                                                    bool narrow = false);
 
   /// Evict everything (tests; also bench runs that want cold-cache timings).
   void clear();

@@ -68,8 +68,7 @@ SynthesisResult Synthesizer::synthesize(Function fn) {
   StageTimes st;
   {
     obs::TraceSpan span("stage.optimize", &st.optimize);
-    if (auto pm = PassManager::forLevel(options_.opt)) pm->run(fn);
-    if (options_.narrow) PassManager::narrowing().run(fn);
+    optimize(fn, options_.opt, options_.narrow);
   }
   return backend(std::move(fn), st);
 }

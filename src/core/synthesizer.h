@@ -152,12 +152,12 @@ class Synthesizer {
   [[nodiscard]] SynthesisResult synthesize(Function fn);
 
   /// Pipeline from a function that has already been verified and run
-  /// through the high-level transformation passes — the shared-frontend
-  /// path of design-space exploration: the DSE driver compiles and
-  /// optimizes the source once (see core/frontend_cache.h), then hands
-  /// each sweep point a clone of the cached IR. `fn` is cloned, never
-  /// mutated, so many threads may synthesize from the same cached
-  /// function concurrently.
+  /// through optimize() — the path of every design point that starts from
+  /// FrontendCache (core/frontend_cache.h): DSE, the fuzzer and the
+  /// commands of core/commands.h. options().opt and options().narrow are
+  /// not read; `fn` already carries both. `fn` is cloned, never mutated,
+  /// so many threads may synthesize from the same cached function
+  /// concurrently.
   [[nodiscard]] SynthesisResult synthesizeOptimized(const Function& fn);
 
   [[nodiscard]] const SynthesisOptions& options() const { return options_; }

@@ -9,8 +9,8 @@
 #include <sstream>
 #include <thread>
 
-#include "common/bench_report.h"
 #include "common/thread_pool.h"
+#include "common/wall_timer.h"
 #include "fuzz/corpus.h"
 #include "obs/log.h"
 #include "obs/metrics.h"

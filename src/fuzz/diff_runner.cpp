@@ -1,5 +1,6 @@
 #include "fuzz/diff_runner.h"
 
+#include <algorithm>
 #include <cmath>
 #include <exception>
 #include <sstream>
@@ -13,7 +14,6 @@
 #include "ir/deps.h"
 #include "ir/interp.h"
 #include "lang/frontend.h"
-#include "opt/pass.h"
 #include "rtl/rtlsim.h"
 #include "sta/sta.h"
 
@@ -58,11 +58,7 @@ SynthesisOptions MatrixPoint::toOptions() const {
   so.resources = ResourceLimits::universalSet(fus);
   so.latencies =
       multicycle ? OpLatencyModel::multiCycle() : OpLatencyModel::unit();
-  // The runner applies optimization and narrowing itself (through
-  // FrontendCache and an explicit pass run) so narrowed IR is shared
-  // between the points that want it; the Synthesizer only sees the
-  // backend stages.
-  so.narrow = false;
+  so.narrow = narrow;
   return so;
 }
 
@@ -340,29 +336,7 @@ ProgramVerdict runSource(const std::string& source, std::uint64_t seed,
     goldenOuts.push_back(std::move(r.outputs));
   }
 
-  // Narrowed IR is shared across the points that request it, keyed by opt
-  // level (narrowing runs after the optimization pipeline).
-  std::map<std::pair<OptLevel, bool>, std::shared_ptr<const Function>>
-      fronts;
-  auto frontendFor = [&](const MatrixPoint& p) {
-    auto key = std::make_pair(p.opt, p.narrow);
-    auto it = fronts.find(key);
-    if (it != fronts.end()) return it->second;
-    std::shared_ptr<const Function> fn =
-        FrontendCache::global().get(source, options.top, p.opt);
-    if (p.narrow) {
-      auto narrowed = std::make_shared<Function>(fn->clone());
-      PassManager::narrowing().run(*narrowed);
-      fn = std::move(narrowed);
-    }
-    // The semantic lints only warn, so no verdict depends on them; they
-    // run once per distinct function to catch analyzer crashes.
-    CheckReport semantics;
-    checkSemantics(*fn, semantics);
-    fronts.emplace(key, fn);
-    return fn;
-  };
-
+  std::vector<std::shared_ptr<const Function>> linted;
   for (const MatrixPoint& p : options.points) {
     auto fail = [&](const std::string& kind, const std::string& detail,
                     int trial = -1) {
@@ -370,7 +344,15 @@ ProgramVerdict runSource(const std::string& source, std::uint64_t seed,
     };
     try {
       Synthesizer synth(p.toOptions());
-      std::shared_ptr<const Function> base = frontendFor(p);
+      const std::shared_ptr<const Function> base =
+          FrontendCache::global().get(source, options.top, p.opt, p.narrow);
+      // The semantic lints only warn, so no verdict depends on them; they
+      // run once per distinct function to catch analyzer crashes.
+      if (std::find(linted.begin(), linted.end(), base) == linted.end()) {
+        CheckReport semantics;
+        checkSemantics(*base, semantics);
+        linted.push_back(base);
+      }
       Function work = base->clone();
       if (options.inject == InjectedBug::MulToAdd) injectMulToAdd(work);
       if (options.preBackend) options.preBackend(work, p);

@@ -7,11 +7,12 @@
 // controller style (state encoding) × {narrow on/off} × latency model —
 // and for every matrix point:
 //
-//   1. synthesizes the design, sharing the frontend through FrontendCache
-//      so the parse/optimize cost is paid once per (program, opt level)
-//      rather than per point; the synthesizer's stage exits check the
-//      schedule, binding, controller and timing (one STA run), and a
-//      stage-exit failure is classified by its first finding's check id;
+//   1. synthesizes the design from the IR FrontendCache holds for the
+//      point's (program, top, opt level, narrow) key, so the
+//      parse/optimize/narrow cost is paid once per key rather than per
+//      point; the synthesizer's stage exits check the schedule, binding,
+//      controller and timing (one STA run), and a stage-exit failure is
+//      classified by its first finding's check id;
 //   2. gates the finished design through the STA oracle (on the carried
 //      STA result) and the netlist lint — re-running STA and the stage
 //      analyzers only for a design changed after synthesis (an injected
@@ -54,8 +55,9 @@ struct MatrixPoint {
   ///  lat=unit fus=2".
   [[nodiscard]] std::string label() const;
 
-  /// Synthesis options for this point (narrow handled by the runner
-  /// itself so the narrowed IR is shared between points).
+  /// Synthesis options for this point. The runner hands the synthesizer
+  /// IR that FrontendCache already optimized and narrowed, so `opt` and
+  /// `narrow` describe that IR rather than select passes.
   [[nodiscard]] SynthesisOptions toOptions() const;
 
   /// Whether the schedule is produced under the resource limits (false

@@ -97,9 +97,9 @@ PassManager PassManager::aggressivePipeline(int maxTrip) {
   return pm;
 }
 
-void optimize(Function& fn) {
-  auto pm = PassManager::standardPipeline();
-  pm.run(fn);
+void optimize(Function& fn, OptLevel level, bool narrow) {
+  if (auto pm = PassManager::forLevel(level)) pm->run(fn);
+  if (narrow) PassManager::narrowing().run(fn);
 }
 
 }  // namespace mphls

@@ -95,8 +95,12 @@ class PassManager {
   PassObserver observer_;
 };
 
-/// Convenience: run the standard pipeline in place.
-void optimize(Function& fn);
+/// The IR a design point starts from (Synthesizer::synthesize and
+/// FrontendCache::get): `level`'s pipeline, then with `narrow` the
+/// narrowing pass as a second manager (one round-robin manager would
+/// interleave the two and change the IR).
+void optimize(Function& fn, OptLevel level = OptLevel::Standard,
+              bool narrow = false);
 
 /// True when turning a value into free wiring over `v` could let a consumer
 /// outlive `v`'s backing register: the free-wiring chain under `v` roots at

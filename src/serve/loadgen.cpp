@@ -6,8 +6,8 @@
 #include <random>
 #include <thread>
 
-#include "common/bench_report.h"
 #include "common/json_reader.h"
+#include "common/wall_timer.h"
 #include "core/options.h"
 #include "serve/client.h"
 

@@ -3,8 +3,8 @@
 #include <climits>
 #include <optional>
 
-#include "common/bench_report.h"
 #include "common/json_reader.h"
+#include "common/wall_timer.h"
 #include "core/commands.h"
 #include "core/designs.h"
 #include "core/frontend_cache.h"

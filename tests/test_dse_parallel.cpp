@@ -1,25 +1,32 @@
 // Parallel design-space exploration and the synthesis-throughput layer:
 // IR clone round-trips, thread pool / parallelFor behavior, frontend-cache
-// sharing, determinism of the sweeps at every thread count (points and
-// emitted Verilog byte-identical), stable Pareto marking, and equality of
-// the incremental force-directed scheduler with the from-scratch
-// reference. All tests in this file share the DseParallel* prefix so the
-// ThreadSanitizer CI job can select them with one gtest filter.
+// sharing and keying, determinism of the sweeps at every thread count
+// (points and emitted Verilog byte-identical), sweep points equal to a
+// from-source synthesis under `narrow` and `top`, the time sweep's first
+// horizon, stable Pareto marking, and equality of the incremental
+// force-directed scheduler with the from-scratch reference. All tests in
+// this file share the DseParallel* prefix so the ThreadSanitizer CI job can
+// select them with one gtest filter.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <fstream>
 #include <numeric>
 #include <set>
+#include <sstream>
 #include <utility>
 
 #include "common/thread_pool.h"
 #include "core/designs.h"
 #include "core/dse.h"
 #include "core/frontend_cache.h"
+#include "fuzz/bdl_gen.h"
 #include "ir/analysis.h"
 #include "ir/verify.h"
+#include "opt/pass.h"
 #include "oracles/force_directed_reference.h"
 #include "oracles/synthetic_dfg.h"
+#include "rtl/verilog.h"
 #include "sched/force_directed.h"
 #include "sched/schedule.h"
 
@@ -67,6 +74,38 @@ Function randomDfg(int numOps, std::uint64_t seed) {
   fn.emitWrite(b, fn.addOutput("y", 8), pool.back());
   fn.setReturn(b);
   return fn;
+}
+
+std::string fixture(const std::string& name) {
+  std::ifstream in(std::string(MPHLS_FIXTURE_DIR) + "/" + name);
+  EXPECT_TRUE(in.good()) << "missing fixture " << name;
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+/// Options for one list-scheduled point with `fus` universal units.
+SynthesisOptions listAt(SynthesisOptions opts, int fus) {
+  opts.scheduler = SchedulerKind::List;
+  opts.resources = ResourceLimits::universalSet(fus);
+  return opts;
+}
+
+/// Options for one force-directed point under `horizon` steps.
+SynthesisOptions forceAt(SynthesisOptions opts, int horizon) {
+  opts.scheduler = SchedulerKind::ForceDirected;
+  opts.timeConstraint = horizon;
+  return opts;
+}
+
+/// A sweep point agrees with a from-source synthesis of the same options:
+/// latency, area and (when captured) Verilog.
+void expectSameDesign(const DsePoint& p, const SynthesisResult& r) {
+  EXPECT_EQ(p.latencySteps, r.staticLatency()) << p.label;
+  EXPECT_EQ(p.area, r.area.total()) << p.label;
+  if (!p.verilog.empty()) {
+    EXPECT_EQ(p.verilog, emitVerilog(r.design)) << p.label;
+  }
 }
 
 std::vector<DsePoint> sweepWithJobs(const char* src, int maxFus, int jobs) {
@@ -194,6 +233,26 @@ TEST(DseParallelCache, SharesOneCompiledFunction) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
+TEST(DseParallelCache, NarrowIsPartOfTheKey) {
+  FrontendCache cache;
+  const std::string src = designs::sqrtSource();
+  auto plain = cache.get(src, "", OptLevel::Standard);
+  auto narrowed = cache.get(src, "", OptLevel::Standard, true);
+  EXPECT_NE(plain.get(), narrowed.get());
+  EXPECT_NE(plain->dump(), narrowed->dump());
+  EXPECT_EQ(cache.get(src, "", OptLevel::Standard, true).get(),
+            narrowed.get());
+  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(cache.hits(), 1u);
+  // The cached IR is the unoptimized entry run through optimize().
+  for (OptLevel opt :
+       {OptLevel::None, OptLevel::Standard, OptLevel::Aggressive}) {
+    Function fn = cache.get(src, "", OptLevel::None)->clone();
+    optimize(fn, opt, true);
+    EXPECT_EQ(cache.get(src, "", opt, true)->dump(), fn.dump());
+  }
+}
+
 TEST(DseParallelCache, ConcurrentGetsAreSafe) {
   FrontendCache cache;
   ThreadPool pool(4);
@@ -244,6 +303,84 @@ TEST(DseParallelSweep, ChippeIdenticalAcrossJobCounts) {
   base.jobs = 4;
   auto parallel = chippeIterate(designs::ewfSource(), target, 8, base);
   expectPointsIdentical(serial, parallel);
+}
+
+TEST(DseParallelSweep, NarrowedSweepsMatchTheSynthesizer) {
+  const std::string src = designs::sqrtSource();
+  SynthesisOptions base;
+  base.narrow = true;
+  base.dseCaptureVerilog = true;
+  base.jobs = 2;
+  const SynthesisResult one =
+      Synthesizer(listAt(base, 1)).synthesizeSource(src);
+  SynthesisOptions plain = base;
+  plain.narrow = false;
+  // Narrowing changes this design, so an un-narrowed point cannot pass.
+  ASSERT_NE(one.area.total(),
+            Synthesizer(listAt(plain, 1)).synthesizeSource(src).area.total());
+
+  expectSameDesign(exploreResourceSweep(src, 2, base).at(0), one);
+  expectSameDesign(chippeIterate(src, 0, 2, base).at(0), one);
+  const DsePoint first = exploreTimeSweep(src, 0, base).at(0);
+  expectSameDesign(
+      first, Synthesizer(forceAt(base, first.limit)).synthesizeSource(src));
+}
+
+TEST(DseParallelSweep, TopSelectsTheSweptProcedure) {
+  const std::string src = fixture("two_procs.bdl");
+  SynthesisOptions base;
+  base.dseCaptureVerilog = true;
+  base.jobs = 2;
+  const SynthesisResult a =
+      Synthesizer(listAt(base, 1)).synthesizeSource(src, "a");
+  ASSERT_EQ(a.design.fn.name(), "a");
+  // Without `top` the last procedure, b, is the design.
+  ASSERT_NE(a.area.total(), exploreResourceSweep(src, 1, base).at(0).area);
+
+  expectSameDesign(exploreResourceSweep(src, 2, base, "a").at(0), a);
+  expectSameDesign(chippeIterate(src, 100, 2, base, "a").at(0), a);
+  const DsePoint first = exploreTimeSweep(src, 0, base, "a").at(0);
+  expectSameDesign(
+      first,
+      Synthesizer(forceAt(base, first.limit)).synthesizeSource(src, "a"));
+}
+
+TEST(DseParallelSweep, TimeSweepStartsAtForceDirectedLength) {
+  // The sweep's first horizon is the longest block of a full
+  // unconstrained force-directed synthesis. Seeds 4 and 96 generate
+  // designs where that exceeds the longest critical path.
+  std::vector<std::string> sources;
+  for (const auto& d : designs::all()) sources.emplace_back(d.source);
+  for (std::uint64_t seed : {4u, 96u})
+    sources.push_back(fuzz::generateProgram(seed).render());
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    const std::string& src = sources[i];
+    const SynthesisResult r =
+        Synthesizer(forceAt({}, 0)).synthesizeSource(src);
+    int longest = 0;
+    for (const auto& bs : r.design.sched.blocks)
+      longest = std::max(longest, bs.numSteps);
+    SynthesisOptions base;
+    base.jobs = 1;
+    EXPECT_EQ(exploreTimeSweep(src, 0, base).at(0).label,
+              std::to_string(longest) + " steps")
+        << src;
+    if (i < designs::all().size()) continue;
+    int critical = 0;
+    const Function& fn = r.design.fn;
+    for (const auto& blk : fn.blocks())
+      critical = std::max(critical,
+                          computeLevels(BlockDeps(fn, blk)).criticalLength);
+    EXPECT_GT(longest, critical) << src;
+  }
+}
+
+TEST(DseParallelSweep, TimeSweepRejectsMulticycleLatency) {
+  SynthesisOptions base;
+  base.latencies = OpLatencyModel::multiCycle();
+  base.jobs = 1;
+  EXPECT_THROW((void)exploreTimeSweep(designs::diffeqSource(), 1, base),
+               InternalError);
 }
 
 TEST(DseParallelSweep, MatchesLegacyPerPointSynthesis) {

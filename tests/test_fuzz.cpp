@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <string>
 
+#include "core/frontend_cache.h"
 #include "fuzz/bdl_gen.h"
 #include "fuzz/campaign.h"
 #include "fuzz/corpus.h"
@@ -139,6 +140,23 @@ TEST(FuzzDiff, DetectsCorruptedSchedule) {
   fuzz::ProgramVerdict v = fuzz::runSource(source, 1, d);
   ASSERT_FALSE(v.ok());
   for (const auto& f : v.failures) EXPECT_EQ(f.kind, "check") << f.detail;
+}
+
+TEST(FuzzDiff, EachPointStartsFromTheCachedFrontend) {
+  // Every point's IR is FrontendCache's entry for its (opt, narrow), and
+  // its synthesis options say which entry that was.
+  const std::string source = fuzz::generateProgram(3).render();
+  fuzz::DiffOptions d = quickDiff();
+  int points = 0;
+  d.preBackend = [&](Function& fn, const fuzz::MatrixPoint& p) {
+    ++points;
+    EXPECT_EQ(p.toOptions().narrow, p.narrow);
+    EXPECT_EQ(fn.dump(),
+              FrontendCache::global().get(source, "", p.opt, p.narrow)->dump())
+        << p.label();
+  };
+  EXPECT_TRUE(fuzz::runSource(source, 3, d).ok());
+  EXPECT_EQ(points, 2);
 }
 
 TEST(FuzzDiff, StageExitFailuresAreClassifiedByCheckId) {
