@@ -342,6 +342,12 @@ FuBinding byClique(const Function& fn, const Schedule& sched,
                    const LifetimeInfo& lt, const RegAssignment& regs,
                    const HwLibrary& lib, const OpLatencyModel& latencies) {
   auto ops = collectFuOps(fn, sched, lt, regs, latencies);
+  // Whether one component performs both kinds. A component's area is
+  // finite at every width, so the answer does not depend on the width and
+  // is asked of the library once per kind pair (-1: not asked yet).
+  std::size_t kinds = 0;
+  for (const auto& op : ops) kinds = std::max(kinds, (std::size_t)op.kind + 1);
+  std::vector<signed char> shareable(kinds * kinds, -1);
   CompatGraph g(ops.size());
   for (std::size_t i = 0; i < ops.size(); ++i) {
     for (std::size_t j = i + 1; j < ops.size(); ++j) {
@@ -349,9 +355,13 @@ FuBinding byClique(const Function& fn, const Schedule& sched,
       bool overlap = ops[i].globalStep < ops[j].globalStep + ops[j].cycles &&
                      ops[j].globalStep < ops[i].globalStep + ops[i].cycles;
       if (overlap) continue;
-      int w = std::max(ops[i].width, ops[j].width);
-      if (lib.cheapestForAll({ops[i].kind, ops[j].kind}, w).valid())
-        g.addEdge(i, j);
+      signed char& ok = shareable[(std::size_t)ops[i].kind * kinds +
+                                  (std::size_t)ops[j].kind];
+      if (ok < 0) {
+        int w = std::max(ops[i].width, ops[j].width);
+        ok = lib.cheapestForAll({ops[i].kind, ops[j].kind}, w).valid();
+      }
+      if (ok) g.addEdge(i, j);
     }
   }
   CliqueCover cover = cliquePartition(g);

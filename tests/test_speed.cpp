@@ -1,9 +1,11 @@
 // Speed ratios between a production engine and the oracle it replaced,
 // measured in one process on the same inputs: the incremental
-// force-directed scheduler against the from-scratch reference, and the
-// bytecode VM against the behavioural and RTL interpreters. No end-to-end
-// benchmark can see these (VM execution is a fraction of a percent of a
-// fuzz campaign's wall time), so they are checked here.
+// force-directed scheduler against the from-scratch reference, the bitset
+// clique partitioner against the from-scratch one, and the bytecode VM
+// against the behavioural and RTL interpreters. No end-to-end benchmark
+// can see these (VM execution is a fraction of a percent of a fuzz
+// campaign's wall time), so they are checked here, together with the
+// clique partitioner's growth exponent.
 //
 // Timing tests flap under sanitizers and on loaded hosts, so this binary
 // is not registered with ctest; ci.sh runs it from the Release build:
@@ -19,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "alloc/clique.h"
 #include "core/designs.h"
 #include "core/frontend_cache.h"
 #include "core/options.h"
@@ -27,6 +30,7 @@
 #include "ir/deps.h"
 #include "ir/interp.h"
 #include "lang/frontend.h"
+#include "oracles/clique_reference.h"
 #include "oracles/force_directed_reference.h"
 #include "oracles/synthetic_dfg.h"
 #include "rtl/rtlsim.h"
@@ -121,6 +125,45 @@ TEST(Speed, IncrementalForceDirectedBeatsReference) {
     if (minSpeedup < 0 || speedup < minSpeedup) minSpeedup = speedup;
   }
   EXPECT_GE(minSpeedup, 1.098);
+}
+
+// Reference time over bitset time on a seeded 300-node interval graph (the
+// register compatibility graph's shape), best of 3 each; it must stay at or
+// above 28.05.
+TEST(Speed, BitsetCliqueBeatsReference) {
+  const CompatGraph g = intervalGraph(randomLifetimes(300, 300));
+  const CliqueCover fast = cliquePartition(g);
+  const CliqueCover ref = cliquePartitionReference(g);
+  ASSERT_EQ(fast.group, ref.group);
+  const double f = timeBest(3, [&] { (void)cliquePartition(g); });
+  const double r = timeBest(3, [&] { (void)cliquePartitionReference(g); });
+  std::printf("clique %zu nodes, %zu edges: bitset %.2fx vs reference\n",
+              g.size(), g.edgeCount(), r / f);
+  EXPECT_GE(r / f, 28.05);
+}
+
+// The least-squares slope of log time over log n on seeded interval graphs
+// of 200, 400 and 800 nodes, best of 3 each. The merge loop is Θ(n³) word
+// operations on dense graphs, and the measured slope is 2.7–3.0, so the
+// limit is 3.3 rather than 3 (the from-scratch partitioner's is about 4).
+TEST(Speed, CliqueGrowthIsAtMostCubic) {
+  std::vector<double> xs, ys;
+  for (std::size_t n : {200, 400, 800}) {
+    const CompatGraph g = intervalGraph(randomLifetimes(n, n));
+    const double s = timeBest(3, [&] { (void)cliquePartition(g); });
+    std::printf("clique %4zu nodes: %.4f s\n", n, s);
+    xs.push_back(std::log((double)n));
+    ys.push_back(std::log(s));
+  }
+  const double mx = (xs[0] + xs[1] + xs[2]) / 3;
+  const double my = (ys[0] + ys[1] + ys[2]) / 3;
+  double sxy = 0, sxx = 0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    sxy += (xs[i] - mx) * (ys[i] - my);
+    sxx += (xs[i] - mx) * (xs[i] - mx);
+  }
+  std::printf("clique growth exponent %.2f\n", sxy / sxx);
+  EXPECT_LE(sxy / sxx, 3.3);
 }
 
 // VM over interpreter on every builtin at its sample inputs, best of 5
