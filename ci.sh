@@ -12,7 +12,8 @@
 # simulated on both the VM and the interpreters, zero divergences
 # tolerated), an AddressSanitizer+UBSan pass over the whole suite
 # (observability layer and VM dispatch loop included), a ThreadSanitizer
-# pass over the parallel-DSE layer and the serve daemon, a Release (-O3
+# pass over the worker pool, parallel DSE, the fuzz campaign's parallel
+# paths and the serve daemon, a Release (-O3
 # -Werror) build of the full tree, the speed-ratio tests against the
 # scheduler and simulator oracles (mphls_speed_tests, Release), an
 # observability smoke run validating the Chrome trace, metrics JSON, and
@@ -189,8 +190,10 @@ cmake -B build-asan -S . \
 cmake --build build-asan -j"$(nproc)" --target mphls_tests
 ./build-asan/tests/mphls_tests --gtest_brief=1
 
-# --- ThreadSanitizer: the concurrency layer (thread pool, frontend cache,
-# parallel sweeps, and the serve daemon's loop/worker handoff) must be
+# --- ThreadSanitizer: the concurrency layer (the FIFO worker pool and
+# parallelFor, worker track registration, the frontend cache, parallel
+# sweeps and Chippe batches, the fuzz campaign's and corpus replay's
+# parallel paths, and the serve daemon's loop/worker handoff) must be
 # race-free, not merely deterministic.
 cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -198,7 +201,7 @@ cmake -B build-tsan -S . \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 cmake --build build-tsan -j"$(nproc)" --target mphls_tests
 ./build-tsan/tests/mphls_tests \
-  --gtest_filter='DseParallel*:Serve*:ObsConcurrency*' \
+  --gtest_filter='DseParallel*:Serve*:ObsConcurrency*:ThreadPool*:FuzzCampaign.DeterministicAcrossJobCounts:FuzzCorpus.ReplayIdenticalAcrossJobCounts' \
   --gtest_brief=1
 
 # --- Observability smoke: `mphls profile` must emit a well-formed Chrome

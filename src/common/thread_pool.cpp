@@ -1,169 +1,89 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
+#include <atomic>
 #include <exception>
 
 #include "obs/trace.h"
 
 namespace mphls {
 
-namespace {
-
-// Worker identity for currentWorker(): which pool (if any) owns the calling
-// thread, and its index there.
-thread_local const ThreadPool* tlsPool = nullptr;
-thread_local int tlsWorker = -1;
-
-}  // namespace
-
-ThreadPool::ThreadPool(int numThreads, std::string namePrefix)
-    : namePrefix_(std::move(namePrefix)),
-      traceTids_(static_cast<std::size_t>(numThreads < 1 ? 1 : numThreads)) {
-  if (numThreads < 1) numThreads = 1;
-  for (auto& t : traceTids_) t.store(-1, std::memory_order_relaxed);
-  queues_.reserve(static_cast<std::size_t>(numThreads));
-  for (int i = 0; i < numThreads; ++i)
-    queues_.push_back(std::make_unique<WorkerQueue>());
-  threads_.reserve(static_cast<std::size_t>(numThreads));
-  for (int i = 0; i < numThreads; ++i)
+ThreadPool::ThreadPool(int numThreads, const std::string& namePrefix) {
+  const int n = std::max(numThreads, 1);
+  threads_.reserve(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i)
     threads_.emplace_back(
-        [this, i] { workerLoop(static_cast<std::size_t>(i)); });
+        [this, name = namePrefix + "-" + std::to_string(i)] {
+          workerLoop(name);
+        });
 }
 
 ThreadPool::~ThreadPool() {
-  stop_.store(true, std::memory_order_release);
   {
-    // Pairs with the predicate re-check under wakeMutex_ in workerLoop so
-    // no worker can miss the stop signal between its check and its wait.
-    std::lock_guard<std::mutex> lk(wakeMutex_);
+    std::lock_guard<std::mutex> lk(m_);
+    stop_ = true;
   }
   wake_.notify_all();
   for (auto& t : threads_) t.join();
 }
 
-int ThreadPool::currentWorker() const {
-  return tlsPool == this ? tlsWorker : -1;
-}
-
-std::string ThreadPool::workerName(int i) const {
-  return namePrefix_ + "-" + std::to_string(i);
-}
-
-int ThreadPool::workerTraceTid(int i) const {
-  if (i < 0 || i >= size()) return -1;
-  return traceTids_[static_cast<std::size_t>(i)].load(
-      std::memory_order_acquire);
-}
-
-int ThreadPool::hardwareConcurrency() {
-  unsigned n = std::thread::hardware_concurrency();
-  return n == 0 ? 1 : static_cast<int>(n);
-}
-
-void ThreadPool::push(std::function<void()> f) {
-  // A worker submitting from inside a task keeps the work local (LIFO);
-  // outside submitters deal queues round-robin.
-  std::size_t target;
-  if (tlsPool == this) {
-    target = static_cast<std::size_t>(tlsWorker);
-  } else {
-    target = nextQueue_.fetch_add(1, std::memory_order_relaxed) %
-             queues_.size();
-  }
+void ThreadPool::submit(std::function<void()> task) {
   {
-    std::lock_guard<std::mutex> lk(queues_[target]->m);
-    queues_[target]->q.push_back(std::move(f));
+    std::lock_guard<std::mutex> lk(m_);
+    queue_.push_back(std::move(task));
   }
-  pending_.fetch_add(1, std::memory_order_release);
   wake_.notify_one();
 }
 
-bool ThreadPool::popOrSteal(std::size_t self, std::function<void()>& out) {
-  // Own deque first, newest-first.
-  {
-    WorkerQueue& mine = *queues_[self];
-    std::lock_guard<std::mutex> lk(mine.m);
-    if (!mine.q.empty()) {
-      out = std::move(mine.q.back());
-      mine.q.pop_back();
-      return true;
-    }
-  }
-  // Steal oldest-first from the other workers, starting just after self so
-  // victims rotate instead of everyone hammering worker 0.
-  for (std::size_t k = 1; k < queues_.size(); ++k) {
-    WorkerQueue& victim = *queues_[(self + k) % queues_.size()];
-    std::lock_guard<std::mutex> lk(victim.m);
-    if (!victim.q.empty()) {
-      out = std::move(victim.q.front());
-      victim.q.pop_front();
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::workerLoop(std::size_t idx) {
-  tlsPool = this;
-  tlsWorker = static_cast<int>(idx);
-  traceTids_[idx].store(
-      obs::Tracer::global().setThreadName(workerName(static_cast<int>(idx))),
-      std::memory_order_release);
+void ThreadPool::workerLoop(const std::string& trackName) {
+  obs::Tracer::global().setThreadName(trackName);
   for (;;) {
     std::function<void()> task;
-    if (popOrSteal(idx, task)) {
-      pending_.fetch_sub(1, std::memory_order_acq_rel);
-      task();
-      continue;
+    {
+      std::unique_lock<std::mutex> lk(m_);
+      wake_.wait(lk, [this] { return stop_ || !queue_.empty(); });
+      if (queue_.empty()) return;  // stopping and drained
+      task = std::move(queue_.front());
+      queue_.pop_front();
     }
-    std::unique_lock<std::mutex> lk(wakeMutex_);
-    wake_.wait(lk, [this] {
-      return stop_.load(std::memory_order_acquire) ||
-             pending_.load(std::memory_order_acquire) > 0;
-    });
-    if (stop_.load(std::memory_order_acquire) &&
-        pending_.load(std::memory_order_acquire) == 0)
-      return;
+    task();
   }
 }
 
 int resolveJobs(int jobs) {
-  return jobs <= 0 ? ThreadPool::hardwareConcurrency() : jobs;
+  if (jobs > 0) return jobs;
+  return static_cast<int>(std::max(std::thread::hardware_concurrency(), 1u));
 }
 
-void parallelFor(ThreadPool* pool, std::size_t n,
-                 const std::function<void(std::size_t, int)>& fn) {
-  if (n == 0) return;
-  if (pool == nullptr || pool->size() <= 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i, 0);
+void parallelFor(int jobs, std::size_t n, const std::string& prefix,
+                 const std::function<void(std::size_t)>& fn) {
+  const std::size_t k =
+      std::min(static_cast<std::size_t>(resolveJobs(jobs)), n);
+  if (k <= 1) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
 
   // Dynamic self-scheduling: each runner pulls the next unclaimed index, so
   // uneven per-index cost balances automatically. Output determinism comes
   // from fn writing only to slot `i`.
-  auto counter = std::make_shared<std::atomic<std::size_t>>(0);
-  const std::size_t runners =
-      std::min(n, static_cast<std::size_t>(pool->size()));
-  std::vector<std::future<void>> done;
-  done.reserve(runners);
-  for (std::size_t r = 0; r < runners; ++r) {
-    done.push_back(pool->submit([counter, n, pool, &fn] {
-      const int worker = pool->currentWorker();
-      for (;;) {
-        std::size_t i = counter->fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) return;
-        fn(i, worker < 0 ? 0 : worker);
-      }
-    }));
-  }
+  std::atomic<std::size_t> next{0};
+  std::mutex errorMutex;
   std::exception_ptr first;
-  for (auto& f : done) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first) first = std::current_exception();
-    }
-  }
+  {
+    ThreadPool pool(static_cast<int>(k), prefix);
+    for (std::size_t r = 0; r < k; ++r)
+      pool.submit([&] {
+        for (std::size_t i; (i = next.fetch_add(1)) < n;) {
+          try {
+            fn(i);
+          } catch (...) {
+            std::lock_guard<std::mutex> lk(errorMutex);
+            if (!first) first = std::current_exception();
+          }
+        }
+      });
+  }  // ~ThreadPool: every runner has finished
   if (first) std::rethrow_exception(first);
 }
 

@@ -1,24 +1,21 @@
-// A small work-stealing thread pool for the synthesis-throughput layer.
+// A fixed set of worker threads draining one FIFO queue.
 //
 // Design-space exploration synthesizes many independent design points
 // (Section 1.2: "several designs for the same specification in a
-// reasonable amount of time"); the pool lets those points run
-// concurrently. Each worker owns a deque: it pushes and pops its own
-// work LIFO (cache-warm) and steals FIFO from the other workers when its
-// deque runs dry, so an uneven sweep (e.g. branch-and-bound points next
-// to list-scheduled ones) still keeps every thread busy.
+// reasonable amount of time"); parallelFor runs those points concurrently
+// on workers it owns for the length of one call. The serve daemon keeps
+// one ThreadPool for its lifetime and queues requests behind busy
+// workers; they start in the order they were submitted.
 //
-// Determinism contract: the pool schedules *execution*, never *results*.
-// Callers hand every task a distinct output slot (see parallelFor), so
-// the values produced are identical at any thread count.
+// Determinism contract: the workers schedule *execution*, never
+// *results*. parallelFor hands every index a distinct output slot, so the
+// values produced are identical at any thread count.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -30,75 +27,40 @@ class ThreadPool {
  public:
   /// Spawns `numThreads` workers (clamped to >= 1). Each worker registers
   /// a stable tracer track named "<namePrefix>-<index>" so spans executed
-  /// on the pool land on named per-worker lanes in the trace viewer.
-  explicit ThreadPool(int numThreads, std::string namePrefix = "pool");
+  /// on it land on named per-worker lanes in the trace viewer.
+  ThreadPool(int numThreads, const std::string& namePrefix);
 
-  /// Joins all workers after draining the queues.
+  /// Runs every queued task, then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueue a callable; returns a future for its result. Tasks submitted
-  /// from a worker thread go to that worker's own deque (LIFO), others are
-  /// distributed round-robin.
-  template <typename F>
-  auto submit(F f) -> std::future<decltype(f())> {
-    using R = decltype(f());
-    auto task = std::make_shared<std::packaged_task<R()>>(std::move(f));
-    std::future<R> fut = task->get_future();
-    push([task] { (*task)(); });
-    return fut;
-  }
-
-  [[nodiscard]] int size() const { return static_cast<int>(threads_.size()); }
-
-  /// Index of the calling thread within this pool, or -1 for outsiders.
-  [[nodiscard]] int currentWorker() const;
-
-  /// Stable tracer track name of worker `i` ("<namePrefix>-<i>").
-  [[nodiscard]] std::string workerName(int i) const;
-
-  /// Tracer track id (obs::Tracer tid) of worker `i`, or -1 if the worker
-  /// has not started yet (registration happens on the worker thread).
-  [[nodiscard]] int workerTraceTid(int i) const;
-
-  /// std::thread::hardware_concurrency with a >= 1 floor.
-  [[nodiscard]] static int hardwareConcurrency();
+  /// Queue a task; tasks start in submission order. A task must not throw:
+  /// an exception escaping it ends the program, as from a std::thread.
+  void submit(std::function<void()> task);
 
  private:
-  struct WorkerQueue {
-    std::mutex m;
-    std::deque<std::function<void()>> q;
-  };
+  void workerLoop(const std::string& trackName);
 
-  void push(std::function<void()> f);
-  bool popOrSteal(std::size_t self, std::function<void()>& out);
-  void workerLoop(std::size_t idx);
-
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
-  std::string namePrefix_;
-  /// Tracer tid per worker; written once by the worker thread on startup.
-  std::vector<std::atomic<int>> traceTids_;
-  std::vector<std::thread> threads_;
-  std::mutex wakeMutex_;
+  std::mutex m_;
   std::condition_variable wake_;
-  std::atomic<bool> stop_{false};
-  std::atomic<std::size_t> pending_{0};   ///< queued, not yet popped
-  std::atomic<std::size_t> nextQueue_{0}; ///< round-robin submission cursor
+  std::deque<std::function<void()>> queue_;  ///< guarded by m_
+  bool stop_ = false;                        ///< guarded by m_
+  std::vector<std::thread> threads_;
 };
 
 /// Resolve a `jobs` option to a worker count: <= 0 means "one per hardware
 /// thread", anything else is taken literally.
 [[nodiscard]] int resolveJobs(int jobs);
 
-/// Run `fn(index, worker)` for every index in [0, n), spread across `pool`.
-/// `worker` is the pool worker index that executed the iteration (0 on the
-/// serial path). Blocks until all iterations finish; the first exception
-/// thrown by any iteration is rethrown on the caller after the remaining
-/// iterations complete. Passing a null pool runs every iteration inline on
-/// the caller — the jobs=1 bypass. Not reentrant from inside a pool worker.
-void parallelFor(ThreadPool* pool, std::size_t n,
-                 const std::function<void(std::size_t, int)>& fn);
+/// Run `fn(index)` for every index in [0, n). With
+/// k = min(resolveJobs(jobs), n) <= 1 every iteration runs inline on the
+/// caller, in index order; otherwise k workers named "<prefix>-<i>"
+/// claim indices off a shared counter. Blocks until all iterations
+/// finish; the first exception thrown by any iteration is rethrown on the
+/// caller after the remaining iterations complete.
+void parallelFor(int jobs, std::size_t n, const std::string& prefix,
+                 const std::function<void(std::size_t)>& fn);
 
 }  // namespace mphls

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <future>
 #include <limits>
-#include <memory>
 #include <numeric>
-#include <optional>
 
 #include "common/thread_pool.h"
 #include "core/frontend_cache.h"
@@ -21,20 +18,9 @@ namespace mphls {
 
 namespace {
 
-/// Pool for one exploration, or null for the jobs=1 serial bypass. Never
-/// spawns more workers than there are points to synthesize.
-std::unique_ptr<ThreadPool> makePool(int jobs, std::size_t numPoints) {
-  const int n = resolveJobs(jobs);
-  if (n <= 1 || numPoints <= 1) return nullptr;
-  return std::make_unique<ThreadPool>(
-      static_cast<int>(std::min<std::size_t>(
-          static_cast<std::size_t>(n), numPoints)),
-      "dse");
-}
-
 /// Synthesize one sweep point from the shared optimized IR.
 DsePoint synthesizePoint(const Function& fn, const SynthesisOptions& opts,
-                         std::string label, int limit, int worker) {
+                         std::string label, int limit) {
   DsePoint p;
   {
     // The span both shows the point on the executing thread's trace lane
@@ -50,11 +36,19 @@ DsePoint synthesizePoint(const Function& fn, const SynthesisOptions& opts,
     if (opts.dseCaptureVerilog && opts.latencies.isUnit())
       p.verilog = emitVerilog(r.design);
   }
-  p.threadId = worker < 0 ? 0 : worker;
   auto& mr = obs::MetricsRegistry::global();
   mr.counter("dse.points").add();
   mr.histogram("dse.point_seconds").observe(p.wallSeconds);
   return p;
+}
+
+/// Synthesize the list-scheduled point with `n` universal FUs.
+DsePoint synthesizeBudget(const Function& fn, const SynthesisOptions& base,
+                          int n) {
+  SynthesisOptions opts = base;
+  opts.scheduler = SchedulerKind::List;
+  opts.resources = ResourceLimits::universalSet(n);
+  return synthesizePoint(fn, opts, std::to_string(n) + " FUs", n);
 }
 
 }  // namespace
@@ -119,16 +113,10 @@ std::vector<DsePoint> exploreResourceSweep(const std::string& source,
   auto fn = FrontendCache::global().get(source, top, base.opt, base.narrow);
   const std::size_t count = static_cast<std::size_t>(maxUniversalFus);
   std::vector<DsePoint> points(count);
-  auto pool = makePool(base.jobs, count);
   obs::Logger::global().debug("dse", "resource sweep start",
                               {{"points", count}, {"jobs", base.jobs}});
-  parallelFor(pool.get(), count, [&](std::size_t idx, int worker) {
-    const int n = static_cast<int>(idx) + 1;
-    SynthesisOptions opts = base;
-    opts.scheduler = SchedulerKind::List;
-    opts.resources = ResourceLimits::universalSet(n);
-    points[idx] = synthesizePoint(*fn, opts, std::to_string(n) + " FUs", n,
-                                  worker);
+  parallelFor(base.jobs, count, "dse", [&](std::size_t idx) {
+    points[idx] = synthesizeBudget(*fn, base, static_cast<int>(idx) + 1);
   });
   markPareto(points);
   obs::Logger::global().info("dse", "resource sweep done",
@@ -156,14 +144,13 @@ std::vector<DsePoint> exploreTimeSweep(const std::string& source,
   if (extraSlack < 0) extraSlack = 0;
   const std::size_t count = static_cast<std::size_t>(extraSlack) + 1;
   std::vector<DsePoint> points(count);
-  auto pool = makePool(base.jobs, count);
-  parallelFor(pool.get(), count, [&](std::size_t idx, int worker) {
+  parallelFor(base.jobs, count, "dse", [&](std::size_t idx) {
     SynthesisOptions opts = base;
     opts.scheduler = SchedulerKind::ForceDirected;
     opts.timeConstraint = maxBlockSteps + static_cast<int>(idx);
     points[idx] = synthesizePoint(
         *fn, opts, std::to_string(opts.timeConstraint) + " steps",
-        opts.timeConstraint, worker);
+        opts.timeConstraint);
   });
   markPareto(points);
   obs::Logger::global().info("dse", "time sweep done",
@@ -176,43 +163,30 @@ std::vector<DsePoint> chippeIterate(const std::string& source,
                                     SynthesisOptions base,
                                     const std::string& top) {
   auto fn = FrontendCache::global().get(source, top, base.opt, base.narrow);
-  auto pool = makePool(base.jobs, 2);
-
-  auto synthAt = [&](int n) {
-    SynthesisOptions opts = base;
-    opts.scheduler = SchedulerKind::List;
-    opts.resources = ResourceLimits::universalSet(n);
-    const int worker = pool ? pool->currentWorker() : -1;
-    return synthesizePoint(*fn, opts, std::to_string(n) + " FUs", n, worker);
-  };
 
   std::vector<DsePoint> points;
-  std::optional<DsePoint> ready;  ///< speculated result for the current n
-  for (int n = 1; n <= maxUniversalFus; ++n) {
-    // The feedback decision is sequential, but the pool can already work
-    // on the next budget while this one synthesizes (first lap) or while
-    // its result is judged. At most one point is wasted on a stop.
-    std::optional<std::future<DsePoint>> inflight;
-    if (pool && n + 1 <= maxUniversalFus)
-      inflight = pool->submit([&synthAt, next = n + 1] {
-        return synthAt(next);
-      });
-
-    DsePoint p = ready ? std::move(*ready) : synthAt(n);
-    ready.reset();
-    points.push_back(std::move(p));
-
-    const DsePoint& cur = points.back();
-    const bool met = cur.latencySteps <= targetLatency;
-    const bool flat =
-        n > 1 && points[points.size() - 2].latencySteps == cur.latencySteps;
-    if (met || flat) {
-      // Accept. The speculative point (if any) is wasted work; wait for it
-      // so it cannot outlive the locals it references.
-      if (inflight) inflight->wait();
-      break;
+  const int width = resolveJobs(base.jobs);
+  bool accepted = false;
+  for (int lo = 1; lo <= maxUniversalFus && !accepted;) {
+    // The feedback decision is sequential, but each budget's point depends
+    // only on the budget, so the next `width` budgets synthesize at once
+    // and are judged in order. Points past the accepted one are discarded.
+    const int count = std::min(width, maxUniversalFus - lo + 1);
+    std::vector<DsePoint> batch(static_cast<std::size_t>(count));
+    parallelFor(base.jobs, batch.size(), "dse", [&](std::size_t i) {
+      batch[i] = synthesizeBudget(*fn, base, lo + static_cast<int>(i));
+    });
+    for (DsePoint& p : batch) {
+      const bool met = p.latencySteps <= targetLatency;
+      const bool flat =
+          !points.empty() && points.back().latencySteps == p.latencySteps;
+      points.push_back(std::move(p));
+      if (met || flat) {
+        accepted = true;
+        break;
+      }
     }
-    if (inflight) ready = inflight->get();
+    lo += count;
   }
   markPareto(points);
   if (!points.empty())

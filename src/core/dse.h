@@ -19,13 +19,13 @@
 // Throughput model: each entry point fetches its IR once from FrontendCache
 // (core/frontend_cache.h) at (source, top, base.opt, base.narrow); `top` ""
 // is the file's last procedure. Every sweep point synthesizes a clone of
-// it, concurrently on a work-stealing pool sized by SynthesisOptions::jobs
-// (common/thread_pool.h). The sweeps are embarrassingly parallel; Chippe's
-// feedback loop is inherently sequential but speculatively pre-synthesizes
-// limit+1 while the current limit is being evaluated. Results are
-// deterministic: points land in index order and markPareto is input-order
-// independent, so the returned vector — and any Verilog captured per point
-// — is identical at every thread count.
+// it through parallelFor (common/thread_pool.h), on up to
+// SynthesisOptions::jobs workers named "dse-<i>". The sweeps are
+// embarrassingly parallel; Chippe's feedback loop is sequential, so it
+// synthesizes the next `jobs` budgets at once and judges them in order.
+// Results are deterministic: points land in index order and markPareto is
+// input-order independent, so the returned vector — and any Verilog
+// captured per point — is identical at every thread count.
 #pragma once
 
 #include <string>
@@ -43,12 +43,11 @@ struct DsePoint {
   double area = 0;
   bool pareto = false;     ///< on the area/latency Pareto front
 
-  // Diagnostics, excluded from renderPoints and equality: which worker
-  // synthesized the point and how long it took. These legitimately differ
-  // between runs and thread counts. wallSeconds is measured by the same
-  // "dse.point" TraceSpan that emits the point into --trace output.
+  // Diagnostic, excluded from renderPoints and equality: how long the
+  // point took. It legitimately differs between runs and thread counts,
+  // and is measured by the same "dse.point" TraceSpan that emits the
+  // point into --trace output.
   double wallSeconds = 0;  ///< backend synthesis wall time for this point
-  int threadId = 0;        ///< pool worker index (0 on the serial path)
 
   /// Emitted Verilog for the point's design; filled only when
   /// SynthesisOptions::dseCaptureVerilog is set and the latency model is
@@ -92,10 +91,11 @@ void markPareto(std::vector<DsePoint>& points);
 
 /// Chippe-style feedback: grow the FU budget until the latency target is
 /// met (or the budget cap is reached); returns the visited points, last
-/// one being the accepted design. The feedback decisions are sequential,
-/// but with jobs > 1 the next budget is speculatively synthesized on the
-/// pool while the current one is evaluated (at most one point of wasted
-/// work when the loop stops).
+/// one being the accepted design. The feedback decisions are sequential:
+/// budgets are synthesized in batches of min(jobs, budgets left) and
+/// judged in order, and the points after the accepted one are discarded
+/// (up to jobs - 1 points of wasted work). The visited points are the same
+/// at every `jobs` value.
 [[nodiscard]] std::vector<DsePoint> chippeIterate(
     const std::string& source, int targetLatency, int maxUniversalFus = 8,
     SynthesisOptions base = {}, const std::string& top = "");

@@ -78,9 +78,9 @@ struct SynthesisOptions {
   /// `mphls --prove` / `mphls prove` enables it.
   bool prove = false;
   /// Worker threads for design-space exploration (core/dse.h): <= 0 means
-  /// one per hardware thread, 1 bypasses the thread pool entirely and runs
-  /// the legacy serial loop. Results are identical at any value; only wall
-  /// time changes.
+  /// one per hardware thread, 1 runs every point inline on the caller, in
+  /// order, with no worker thread. Results are identical at any value; only
+  /// wall time changes.
   int jobs = 0;
   /// Design-space exploration only: record the emitted Verilog of every
   /// swept design point in DsePoint::verilog (unit-latency models only —

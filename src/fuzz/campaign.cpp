@@ -4,7 +4,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <memory>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -101,10 +100,7 @@ CampaignResult runCampaign(const CampaignOptions& options) {
 
   // Phase 1 — the sweep, parallel over seeds. Every iteration writes only
   // its own slot, so results are identical at any thread count.
-  const int workers = resolveJobs(options.jobs);
-  std::unique_ptr<ThreadPool> pool;
-  if (workers > 1) pool = std::make_unique<ThreadPool>(workers, "fuzz");
-  parallelFor(pool.get(), n, [&](std::size_t i, int) {
+  parallelFor(options.jobs, n, "fuzz", [&](std::size_t i) {
     const std::uint64_t seed = options.seedBase + i;
     GenProgram prog = generateProgram(seed, options.gen);
     sources[i] = prog.render();
@@ -118,7 +114,6 @@ CampaignResult runCampaign(const CampaignOptions& options) {
     if (mm > 0) cMismatches.add(mm);
     if (!verdicts[i].ok()) cFailing.add();
   });
-  pool.reset();
 
   if (heartbeat.joinable()) {
     {
@@ -215,13 +210,9 @@ ReplayResult replayCorpus(const std::string& dir, const DiffOptions& diff,
   result.entries = (int)entries.size();
   std::vector<ProgramVerdict> verdicts(entries.size());
 
-  const int workers = resolveJobs(jobs);
-  std::unique_ptr<ThreadPool> pool;
-  if (workers > 1) pool = std::make_unique<ThreadPool>(workers);
-  parallelFor(pool.get(), entries.size(), [&](std::size_t i, int) {
+  parallelFor(jobs, entries.size(), "fuzz", [&](std::size_t i) {
     verdicts[i] = runSource(entries[i].source, entries[i].seed, diff);
   });
-  pool.reset();
 
   for (std::size_t i = 0; i < entries.size(); ++i) {
     if (!verdicts[i].ok()) ++result.failed;

@@ -2,8 +2,8 @@
 // reduction and replay — the engine behind `mphls fuzz`.
 //
 // A campaign generates one program per seed in [seedBase, seedBase+seeds),
-// runs each through the differential matrix (fuzz/diff_runner.h) on the
-// shared work-stealing ThreadPool, then — sequentially, so results are
+// runs each through the differential matrix (fuzz/diff_runner.h) on
+// parallelFor's "fuzz-<i>" workers, then — sequentially, so results are
 // deterministic at any job count — reduces every failing program against
 // exactly its failing matrix points (fuzz/reduce.h) and saves raw plus
 // minimized entries into the corpus directory (fuzz/corpus.h). Replay

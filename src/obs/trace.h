@@ -4,8 +4,8 @@
 // (compile -> transform -> schedule -> allocate -> bind -> control
 // synthesis); the tracer makes that pipeline visible as nested spans on a
 // timeline, loadable in Perfetto / chrome://tracing. Every thread gets its
-// own event track (ThreadPool workers register stable names), so parallel
-// DSE fan-out shows up as side-by-side per-worker lanes.
+// own event track (ThreadPool workers register stable "<prefix>-<i>"
+// names), so parallel DSE fan-out shows up as side-by-side per-worker lanes.
 //
 // Cost model: instrumentation is compiled in everywhere and must be
 // near-free when tracing is off. A TraceSpan with no accumulator performs

@@ -1,14 +1,16 @@
 // The daemon's socket layer: a poll()-based event loop that owns every
-// file descriptor, with request handling fanned out onto the shared
-// work-stealing ThreadPool.
+// file descriptor, with request handling fanned out onto a ThreadPool of
+// `jobs` workers named "serve-<i>".
 //
 // Threading model (see DESIGN.md §14):
 //   - The loop thread (the caller of run()) does ALL socket I/O: accept,
 //     read, write, close. It also owns each connection's HttpParser.
 //   - A complete request flips the connection to `busy` and is submitted
-//     to the pool. The worker runs Service::handle, renders the wire
-//     bytes, appends them to the connection's output buffer under its
-//     mutex, clears `busy`, and wakes the loop through the self-pipe.
+//     to the pool's FIFO queue, so requests that wait behind busy workers
+//     start in arrival order. The worker runs Service::handle, renders
+//     the wire bytes, appends them to the connection's output buffer
+//     under its mutex, clears `busy`, and wakes the loop through the
+//     self-pipe.
 //   - The loop never parses past a busy connection (no concurrent
 //     handling of pipelined requests on one session) and never closes a
 //     busy connection, so a worker's connection pointer stays valid for

@@ -5,15 +5,18 @@
 // from-source synthesis under `narrow` and `top`, the time sweep's first
 // horizon, stable Pareto marking, and equality of the incremental
 // force-directed scheduler with the from-scratch reference. All tests in
-// this file share the DseParallel* prefix so the ThreadSanitizer CI job can
-// select them with one gtest filter.
+// this file share the DseParallel* or ThreadPool* prefix so the
+// ThreadSanitizer CI job can select them with its gtest filter.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <fstream>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <sstream>
+#include <thread>
 #include <utility>
 
 #include "common/thread_pool.h"
@@ -160,37 +163,32 @@ TEST(DseParallelClone, AllBuiltinDesignsCloneClean) {
 // ------------------------------------------------------------- thread pool
 
 TEST(DseParallelPool, ParallelForCoversEveryIndexOnce) {
-  ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(997);
-  parallelFor(&pool, hits.size(), [&](std::size_t i, int worker) {
-    EXPECT_GE(worker, 0);
-    EXPECT_LT(worker, 4);
+  parallelFor(4, hits.size(), "test", [&](std::size_t i) {
     hits[i].fetch_add(1);
   });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(DseParallelPool, SerialBypassRunsInline) {
-  std::vector<int> order;
-  parallelFor(nullptr, 5, [&](std::size_t i, int worker) {
-    EXPECT_EQ(worker, 0);
-    order.push_back(static_cast<int>(i));  // no pool: strictly in order
-  });
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  const std::thread::id caller = std::this_thread::get_id();
+  // jobs=1, and jobs>1 with a single index: no worker, strictly in order.
+  for (auto [jobs, n] : {std::pair{1, std::size_t{5}},
+                         std::pair{4, std::size_t{1}}}) {
+    std::vector<int> order;
+    parallelFor(jobs, n, "test", [&](std::size_t i) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      order.push_back(static_cast<int>(i));
+    });
+    std::vector<int> expected(n);
+    std::iota(expected.begin(), expected.end(), 0);
+    EXPECT_EQ(order, expected) << "jobs=" << jobs;
+  }
 }
 
-TEST(DseParallelPool, SubmitReturnsValues) {
-  ThreadPool pool(3);
-  std::vector<std::future<int>> futs;
-  for (int i = 0; i < 50; ++i)
-    futs.push_back(pool.submit([i] { return i * i; }));
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(futs[(std::size_t)i].get(), i * i);
-}
-
-TEST(DseParallelPool, WorkStealingDrainsUnevenLoad) {
-  ThreadPool pool(4);
+TEST(DseParallelPool, SelfSchedulingDrainsUnevenLoad) {
   std::atomic<long> sum{0};
-  parallelFor(&pool, 64, [&](std::size_t i, int) {
+  parallelFor(4, 64, "test", [&](std::size_t i) {
     long local = 0;  // index 0 is ~64x the work of index 63
     const long spin = 2000 * static_cast<long>(64 - i);
     for (long k = 0; k < spin; ++k) local += k % 7;
@@ -200,13 +198,14 @@ TEST(DseParallelPool, WorkStealingDrainsUnevenLoad) {
 }
 
 TEST(DseParallelPool, ExceptionsPropagateToCaller) {
-  ThreadPool pool(2);
-  EXPECT_THROW(
-      parallelFor(&pool, 8,
-                  [&](std::size_t i, int) {
-                    if (i == 3) throw std::runtime_error("boom");
-                  }),
-      std::runtime_error);
+  std::atomic<int> ran{0};
+  EXPECT_THROW(parallelFor(2, 8, "test",
+                           [&](std::size_t i) {
+                             if (i == 3) throw std::runtime_error("boom");
+                             ran.fetch_add(1);
+                           }),
+               std::runtime_error);
+  EXPECT_EQ(ran.load(), 7);  // every other iteration still ran
 }
 
 TEST(DseParallelPool, ResolveJobsSemantics) {
@@ -214,6 +213,55 @@ TEST(DseParallelPool, ResolveJobsSemantics) {
   EXPECT_EQ(resolveJobs(7), 7);
   EXPECT_GE(resolveJobs(0), 1);   // hardware concurrency
   EXPECT_GE(resolveJobs(-3), 1);
+}
+
+TEST(ThreadPool, QueuedTasksStartInSubmissionOrder) {
+  for (int workers : {1, 2}) {
+    std::mutex m;
+    std::condition_variable cv;
+    int blocked = 0;   // blockers holding a worker
+    int released = 0;  // blockers allowed to return
+    std::vector<int> order;
+    std::vector<int> squares(50, -1);
+    {
+      ThreadPool pool(workers, "test");
+      for (int w = 0; w < workers; ++w)
+        pool.submit([&] {
+          std::unique_lock<std::mutex> lk(m);
+          const int ticket = blocked++;
+          cv.notify_all();
+          cv.wait(lk, [&] { return released > ticket; });
+        });
+      {
+        std::unique_lock<std::mutex> lk(m);
+        cv.wait(lk, [&] { return blocked == workers; });
+      }
+      for (int i = 0; i < 8; ++i)
+        pool.submit([&, i] {
+          std::lock_guard<std::mutex> lk(m);
+          order.push_back(i);
+          cv.notify_all();
+        });
+      {
+        // Free one worker; it alone drains the queue.
+        std::unique_lock<std::mutex> lk(m);
+        released = 1;
+        cv.notify_all();
+        cv.wait(lk, [&] { return order.size() == 8; });
+      }
+      for (int i = 0; i < 50; ++i)
+        pool.submit([&squares, i] { squares[(std::size_t)i] = i * i; });
+      {
+        std::lock_guard<std::mutex> lk(m);
+        released = workers;
+      }
+      cv.notify_all();
+    }  // ~ThreadPool runs whatever is still queued
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}))
+        << workers << " worker(s)";
+    for (int i = 0; i < 50; ++i)
+      EXPECT_EQ(squares[(std::size_t)i], i * i) << "task " << i;
+  }
 }
 
 // ---------------------------------------------------------- frontend cache
@@ -255,9 +303,8 @@ TEST(DseParallelCache, NarrowIsPartOfTheKey) {
 
 TEST(DseParallelCache, ConcurrentGetsAreSafe) {
   FrontendCache cache;
-  ThreadPool pool(4);
   std::vector<std::shared_ptr<const Function>> got(32);
-  parallelFor(&pool, got.size(), [&](std::size_t i, int) {
+  parallelFor(4, got.size(), "test", [&](std::size_t i) {
     got[i] = cache.get(designs::ewfSource(), "", OptLevel::Standard);
   });
   for (const auto& fn : got) {
@@ -276,11 +323,7 @@ TEST(DseParallelSweep, ResourceSweepIdenticalAcrossJobCounts) {
 
 TEST(DseParallelSweep, ResourceSweepRecordsDiagnostics) {
   auto points = sweepWithJobs(designs::diffeqSource(), 4, 4);
-  for (const auto& p : points) {
-    EXPECT_GT(p.wallSeconds, 0.0);
-    EXPECT_GE(p.threadId, 0);
-    EXPECT_LT(p.threadId, 4);
-  }
+  for (const auto& p : points) EXPECT_GT(p.wallSeconds, 0.0);
 }
 
 TEST(DseParallelSweep, TimeSweepIdenticalAcrossJobCounts) {
@@ -303,6 +346,33 @@ TEST(DseParallelSweep, ChippeIdenticalAcrossJobCounts) {
   base.jobs = 4;
   auto parallel = chippeIterate(designs::ewfSource(), target, 8, base);
   expectPointsIdentical(serial, parallel);
+}
+
+TEST(DseParallelSweep, ChippeStopsAtTheSameBudgetAtEveryJobCount) {
+  // Batches of `jobs` budgets are judged in order, so every stop — met at
+  // the first budget, met mid-way, or never met — and every batch edge
+  // (fewer budgets left than workers) must reproduce the serial points.
+  for (const auto& d : designs::all()) {
+    const auto probe = sweepWithJobs(d.source, 3, 1);
+    for (int target : {probe[0].latencySteps, probe[2].latencySteps, 0}) {
+      for (int maxFus : {1, 5, 8}) {
+        SynthesisOptions base;
+        base.dseCaptureVerilog = true;
+        base.jobs = 1;
+        const auto serial = chippeIterate(d.source, target, maxFus, base);
+        ASSERT_FALSE(serial.empty());
+        for (int jobs : {2, 3, 4, 8}) {
+          SCOPED_TRACE(std::string(d.name) + " target=" +
+                       std::to_string(target) + " maxFus=" +
+                       std::to_string(maxFus) + " jobs=" +
+                       std::to_string(jobs));
+          base.jobs = jobs;
+          expectPointsIdentical(
+              serial, chippeIterate(d.source, target, maxFus, base));
+        }
+      }
+    }
+  }
 }
 
 TEST(DseParallelSweep, NarrowedSweepsMatchTheSynthesizer) {

@@ -275,6 +275,35 @@ TEST(FuzzCorpus, SaveLoadReplayRoundTrip) {
   EXPECT_TRUE(r.clean());
 }
 
+TEST(FuzzCorpus, ReplayIdenticalAcrossJobCounts) {
+  // An injected miscompile makes some verdicts fail, so the comparison
+  // covers failure kinds and details as well as clean entries.
+  const std::string dir = std::string(MPHLS_FIXTURE_DIR) + "/fuzz";
+  fuzz::DiffOptions diff = quickDiff();
+  diff.inject = fuzz::InjectedBug::MulToAdd;
+  const fuzz::ReplayResult serial = fuzz::replayCorpus(dir, diff, 1);
+  const fuzz::ReplayResult parallel = fuzz::replayCorpus(dir, diff, 4);
+  EXPECT_EQ(serial.entries, parallel.entries);
+  EXPECT_EQ(serial.failed, parallel.failed);
+  EXPECT_GE(serial.failed, 1);
+  ASSERT_EQ(serial.outcomes.size(), parallel.outcomes.size());
+  for (std::size_t i = 0; i < serial.outcomes.size(); ++i) {
+    const fuzz::ReplayOutcome& a = serial.outcomes[i];
+    const fuzz::ReplayOutcome& b = parallel.outcomes[i];
+    EXPECT_EQ(a.name, b.name);
+    EXPECT_EQ(a.verdict.seed, b.verdict.seed) << a.name;
+    EXPECT_EQ(a.verdict.compiled, b.verdict.compiled) << a.name;
+    EXPECT_EQ(a.verdict.pointsRun, b.verdict.pointsRun) << a.name;
+    EXPECT_EQ(a.verdict.simulations, b.verdict.simulations) << a.name;
+    ASSERT_EQ(a.verdict.failures.size(), b.verdict.failures.size()) << a.name;
+    for (std::size_t k = 0; k < a.verdict.failures.size(); ++k) {
+      EXPECT_EQ(a.verdict.failures[k].kind, b.verdict.failures[k].kind);
+      EXPECT_EQ(a.verdict.failures[k].detail, b.verdict.failures[k].detail);
+      EXPECT_EQ(a.verdict.failures[k].trial, b.verdict.failures[k].trial);
+    }
+  }
+}
+
 // ---------------------------------------------------------------- campaign
 
 TEST(FuzzCampaign, DeterministicAcrossJobCounts) {
